@@ -15,15 +15,14 @@ from .busy_period import (CycleMoments, IterationLimitError, QueueModel,
 from .distributions import (DIVERGENT, Deterministic, DistributionSpecError,
                             Erlang, Exponential, HyperExponential,
                             ServiceDistribution, Uniform, parse_service_spec)
-from .mm1 import (Mm1Model, SeriesTruncationError, bessel_i_scaled,
-                  bessel_i_scaled_array, log_bessel_i_scaled, phi_asymptotic,
-                  phi_curve, phi_exact, pn_array, pn_t, theoretical_rate)
-from .renewal import (Curve, TimeGrid, asymptote_remainder, default_grid,
-                      phi_via_renewal, read_curve_csv, renewal_density,
-                      renewal_function, renewal_residual, write_curve_csv)
+from .mm1 import (Mm1Model, SeriesTruncationError, bessel_i_scaled_array,
+                  log_bessel_i_scaled, phi_asymptotic, phi_curve, phi_exact,
+                  pn_array, theoretical_rate)
+from .renewal import (Curve, TimeGrid, asymptote_remainder, phi_via_renewal,
+                      read_curve_csv, renewal_density, renewal_function,
+                      renewal_residual, write_curve_csv)
 from .simulate import (CyclePath, CycleTruncationError, FirstCycleStats,
-                       McConfig, estimate_phi, estimate_q, estimate_stationary,
-                       first_cycle_study, simulate_cycle,
-                       simulated_cycle_moments, workload_at)
+                       McConfig, estimate_phi, estimate_stationary,
+                       first_cycle_study, simulate_cycle, workload_at)
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .distributions import ServiceDistribution
 
 _FP_MAX_ITER = 1_000_000
-_FP_GROWTH_CAP = 1e12
 
 
 class IterationLimitError(RuntimeError):
@@ -69,8 +68,9 @@ def busy_lst(model: QueueModel, s: float, tol: float = 1e-12) -> float:
     monotonically to the minimal (probabilistically correct) root.
     """
     if s < 0:
-        raise ValueError("busy_lst requires s >= 0; probe negative s via "
-                         "busy_cramer_abscissa")
+        raise ValueError(f"busy_lst requires s >= 0, got {s}; "
+                         "busy_cramer_abscissa(model) gives how far below 0 "
+                         "the transform stays finite")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     lam = model.arrival_rate
@@ -111,56 +111,40 @@ def cycle_moments(model: QueueModel) -> CycleMoments:
     )
 
 
-def _probe_finite(model: QueueModel, s: float, tol: float = 1e-10,
-                  max_iter: int = _FP_MAX_ITER) -> bool:
-    """Classify whether the busy-period transform at -s (s > 0) is finite.
-
-    Runs the fixed-point iteration for g = beta(-s + lam * (1 - g)) from 0.
-    Divergent when the transform argument crosses the service Cramer
-    abscissa, when iterates blow past a growth cap, or when the iteration
-    hits the cap while still expanding.
-    """
-    lam = model.arrival_rate
-    delta0 = model.service.cramer_abscissa()
-    g = 0.0
-    delta_prev = math.inf
-    for _ in range(max_iter):
-        arg = -s + lam * (1.0 - g)
-        if arg <= -delta0 + 1e-12:
-            return False
-        g_next = model.service.lst(arg)
-        if not math.isfinite(g_next) or g_next > _FP_GROWTH_CAP:
-            return False
-        delta = abs(g_next - g)
-        if delta < tol:
-            return True
-        delta_prev = delta
-        g = g_next
-    # cap reached: creeping growth counts as divergence, a stalled
-    # contraction as (very slow) convergence
-    return delta <= delta_prev
-
-
 def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:
-    """Numeric Cramer abscissa of the busy period, by bisection on s > 0.
+    """Cramer abscissa s* of the busy period: E exp(s * busy) is finite below s*.
 
-    Returns the boundary between "fixed point converges" and "diverges"
-    within ``tol``.
+    The busy-period transform at -s solves g = beta(z) with
+    z = -s + lam * (1 - g), so s = lam * (1 - beta(z)) - z.  The largest s
+    with a real root is the maximum of that concave function over
+    z in (-delta0, 0], delta0 the service abscissa; golden section narrows
+    the z-bracket to width ``tol``.  Since the maximum is flat, the error in
+    s* is second order in that width.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    lo = 0.0
-    hi = max(tol, 1e-3)
-    while _probe_finite(model, hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("no divergence detected up to s=1e9; "
-                               "busy-period abscissa out of probe range")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _probe_finite(model, mid):
-            lo = mid
+    lam = model.arrival_rate
+
+    def f(z: float) -> float:
+        return lam * (1.0 - model.service.lst(z)) - z
+
+    a = -model.service.cramer_abscissa()
+    if math.isinf(a):
+        # bounded service: f falls without bound as z -> -inf
+        a = -1.0
+        while f(a) >= f(0.5 * a):
+            a *= 2.0
+    b = 0.0
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return max(fc, fd)

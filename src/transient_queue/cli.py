@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -22,8 +20,8 @@ from .analysis import (EXP_WITH_SQRT_T, PURE_EXPONENTIAL, UnfitError,
 from .busy_period import (IterationLimitError, QueueModel, busy_cramer_abscissa,
                           busy_lst, busy_mean, cycle_moments)
 from .distributions import DistributionSpecError, parse_service_spec
-from .renewal import (Curve, TimeGrid, phi_via_renewal, read_curve_csv,
-                      renewal_function, _curve_csv_text)
+from .renewal import (TimeGrid, atomic_write, phi_via_renewal, read_curve_csv,
+                      renewal_function, write_curve_csv)
 from .simulate import (CycleTruncationError, McConfig, estimate_phi,
                        estimate_stationary, first_cycle_study)
 from .mm1 import SeriesTruncationError
@@ -31,19 +29,6 @@ from .mm1 import SeriesTruncationError
 
 class ValidationError(ValueError):
     """Bad command-line input; maps to exit code 2."""
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tq-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _json_text(payload: dict) -> str:
@@ -82,7 +67,7 @@ def _cmd_simulate(args) -> int:
     grid = _make_grid(args.t_max, args.step)
     cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
     curve = estimate_phi(model, cfg, threads=args.threads)
-    _atomic_write(args.output, _curve_csv_text(curve))
+    write_curve_csv(curve, args.output)
     horizon = 1000.0 * cycle_moments(model).cycle_mean
     phi_hat, se = estimate_stationary(model, horizon, seed=args.seed)
     summary = {
@@ -120,7 +105,7 @@ def _cmd_mm1_exact(args) -> int:
     for i, t in enumerate(times):
         lines.append(f"{t:.17g},{phi_def[i]:.17g},{phi_lit[i]:.17g},"
                      f"{asym[i]:.17g},{gap[i]:.17g}")
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    atomic_write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -131,7 +116,7 @@ def _cmd_renewal(args) -> int:
     study = first_cycle_study(model, cfg, threads=args.threads)
     renew = renewal_function(study.cycle_cdf)
     curve = phi_via_renewal(study.q, renew)
-    _atomic_write(args.output, _curve_csv_text(curve))
+    write_curve_csv(curve, args.output)
     return 0
 
 
@@ -166,10 +151,10 @@ def _cmd_busy_period(args) -> int:
         lines = ["s,busy_lst"]
         for s in svals:
             lines.append(f"{s:.17g},{busy_lst(model, float(s)):.17g}")
-        _atomic_write(args.output, "\n".join(lines) + "\n")
+        atomic_write(args.output, "\n".join(lines) + "\n")
         sys.stdout.write(_json_text(summary))
     else:
-        _atomic_write(args.output, _json_text(summary))
+        atomic_write(args.output, _json_text(summary))
     return 0
 
 
@@ -201,7 +186,7 @@ def _cmd_compare(args) -> int:
     cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
     report = compare_methods(model, cfg, threads=args.threads)
     report.pop("curves")
-    _atomic_write(args.output, _json_text(report))
+    atomic_write(args.output, _json_text(report))
     return 0
 
 

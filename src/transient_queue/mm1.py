@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_RESCALE_THRESHOLD = 1e250
-_RESCALE_FACTOR = 1e-250
 _PN_TAIL_CAP = 200_000
 _PHI_TERM_CAP = 100_000
 
@@ -57,45 +55,18 @@ def _miller_start_order(x: float) -> int:
 
 
 def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
-    """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max.
-
-    Backward (Miller) recurrence from a start order safely past the decay
-    point of I_n(x) in n, normalized through the generating identity at
-    y = 1: the scaled values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1.
-    """
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if n_max < 0:
-        raise ValueError(f"order must be >= 0, got {n_max}")
-    out_len = n_max + 1
-    if x == 0.0:
-        out = np.zeros(out_len)
-        out[0] = 1.0
-        return out
-    start = max(_miller_start_order(x), n_max + 20)
-    work = np.zeros(start + 2)
-    work[start + 1] = 0.0
-    work[start] = 1e-280
-    for k in range(start, 0, -1):
-        work[k - 1] = work[k + 1] + (2.0 * k / x) * work[k]
-        if work[k - 1] > _RESCALE_THRESHOLD:
-            work[k - 1 :] *= _RESCALE_FACTOR
-    norm = work[0] + 2.0 * math.fsum(work[1:])
-    return work[:out_len] / norm
-
-
-def bessel_i_scaled(n: int, x: float) -> float:
-    """Scalar e^{-x} I_n(x)."""
-    return float(bessel_i_scaled_array(n, x)[n])
+    """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max."""
+    return np.exp(log_bessel_i_scaled(n_max, x))
 
 
 def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     """log(e^{-x} I_n(x)) for n = 0 .. n_max.
 
-    Same backward recurrence as the Miller scheme but carried on the
-    ratios I_n / I_{n+1}, then accumulated in the log domain and
-    normalized through the (1, 2, 2, ...) identity.  Stays accurate far
-    past the point where the values themselves underflow.
+    Backward (Miller) recurrence from a start order safely past the decay
+    point of I_n(x) in n, carried on the ratios I_n / I_{n+1}, accumulated
+    in the log domain and normalized through the generating identity at
+    y = 1: the scaled values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1.  Stays
+    accurate far past the point where the values themselves underflow.
     """
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
@@ -161,6 +132,8 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
     """P_n(t) for n = 0 .. n_max, starting from an empty system."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if n_max < 0:
+        raise ValueError(f"order must be >= 0, got {n_max}")
     if t == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
@@ -171,13 +144,6 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         geo = rho**n
     return direct + (1.0 - rho) * geo * tail
-
-
-def pn_t(model: Mm1Model, n: int, t: float) -> float:
-    """State probability P_n(t) (empty system at t=0)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return float(pn_array(model, t, n)[n])
 
 
 def _phi_truncation_order(model: Mm1Model, t: float) -> int:

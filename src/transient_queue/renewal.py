@@ -9,13 +9,12 @@ naive right-endpoint placement while keeping the recursion monotone.
 
 from __future__ import annotations
 
-import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from .busy_period import QueueModel, busy_mean
 
 COARSE_GRID_WARNING = "coarse_grid"
 
@@ -69,10 +68,24 @@ class Curve:
         return self.grid.times()
 
 
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, so a
+    failure never leaves a half-written file in place of the old one."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tq-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_curve_csv(curve: Curve, path) -> None:
     """Serialize as ``t,value[,stderr]`` rows at full double precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_curve_csv_text(curve))
+    atomic_write(path, _curve_csv_text(curve))
 
 
 def _curve_csv_text(curve: Curve) -> str:
@@ -107,19 +120,6 @@ def read_curve_csv(path) -> Curve:
     if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
         raise ValueError(f"curve file {path} is not on a uniform grid")
     return Curve(TimeGrid(step=float(step), n_points=len(t)), values, stderr)
-
-
-def default_grid(model: QueueModel, horizon: Optional[float] = None) -> TimeGrid:
-    """Grid resolving both the idle and the busy timescale.
-
-    step = min(1/(20 lam), b1/20), horizon defaults to 80 mean busy periods.
-    """
-    b1 = model.service.moment(1)
-    step = min(1.0 / (20.0 * model.arrival_rate), b1 / 20.0)
-    if horizon is None:
-        horizon = 80.0 * busy_mean(model)
-    n_points = int(math.floor(horizon / step + 1e-9)) + 1
-    return TimeGrid(step=step, n_points=n_points)
 
 
 def _validate_cdf(values: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .busy_period import CycleMoments, QueueModel
+from .busy_period import QueueModel
 from .renewal import Curve, TimeGrid
 
 _EVENT_CAP = 10_000_000
@@ -25,7 +25,6 @@ _CHUNK = 1024  # fixed chunk size keeps merges identical for any thread count
 _DOMAIN_PHI = 1
 _DOMAIN_FIRST_CYCLE = 2
 _DOMAIN_STATIONARY = 3
-_DOMAIN_CYCLE_STATS = 4
 
 
 class CycleTruncationError(RuntimeError):
@@ -44,10 +43,6 @@ class CyclePath:
     services: np.ndarray
     cycle_length: float
     busy_length: float
-
-    @property
-    def arrivals(self):
-        return list(zip(self.epochs.tolist(), self.services.tolist()))
 
 
 @dataclass(frozen=True)
@@ -259,11 +254,6 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
     )
 
 
-def estimate_q(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
-    """Mean workload restricted to the first cycle, q(t)."""
-    return first_cycle_study(model, cfg, threads=threads).q
-
-
 def _cycle_area(path: CyclePath) -> float:
     after = _workload_after_arrivals(path)
     gaps = np.diff(path.epochs)
@@ -303,21 +293,3 @@ def estimate_stationary(model: QueueModel, horizon: float,
     s_d = math.sqrt(float(np.dot(centered, centered)) / (n - 1))
     stderr = s_d / (float(lengths.mean()) * math.sqrt(n))
     return mean, stderr
-
-
-def simulated_cycle_moments(model: QueueModel, n_cycles: int,
-                            seed: int) -> CycleMoments:
-    """Cycle moments estimated from simulated cycles (cross-check path)."""
-    rng = _stream(seed, _DOMAIN_CYCLE_STATS, 0)
-    busy = np.empty(n_cycles)
-    total = np.empty(n_cycles)
-    for i in range(n_cycles):
-        path = simulate_cycle(model, rng)
-        busy[i] = path.busy_length
-        total[i] = path.cycle_length
-    return CycleMoments(
-        busy_mean=float(busy.mean()),
-        cycle_mean=float(total.mean()),
-        cycle_second=float(np.mean(total**2)),
-        source="simulated",
-    )

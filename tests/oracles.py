@@ -44,6 +44,19 @@ def mm1_busy_abscissa_closed_form(lam: float, mu: float) -> float:
     return lam + mu - 2.0 * math.sqrt(lam * mu)
 
 
+def md1_busy_abscissa_closed_form(lam: float, d: float) -> float:
+    """Busy-period abscissa of M/D/1 with service time d: the maximum of
+    lam (1 - e^{-zd}) - z, attained at z = ln(lam d) / d."""
+    return lam - 1.0 / d - math.log(lam * d) / d
+
+
+def erlang_busy_abscissa_closed_form(lam: float, k: int, r: float) -> float:
+    """Busy-period abscissa of M/E_k/1 with Erlang(k, rate r) service: the
+    maximum of lam (1 - (r/(r+z))^k) - z, where (r+z)^{k+1} = lam k r^k."""
+    z = (lam * k * r**k) ** (1.0 / (k + 1)) - r
+    return lam * (1.0 - (r / (r + z)) ** k) - z
+
+
 def birth_death_pn(lam: float, mu: float, t: float,
                    n_states: int = 200) -> np.ndarray:
     """State probabilities of the truncated birth-death chain at time t.

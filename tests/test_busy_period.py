@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from transient_queue import (CycleMoments, Deterministic, Erlang, Exponential,
                              HyperExponential, QueueModel, Uniform,
                              busy_cramer_abscissa, busy_lst, busy_mean,
-                             cycle_moments, simulated_cycle_moments)
-from transient_queue.busy_period import _probe_finite
+                             cycle_moments, simulate_cycle)
 
-from oracles import mm1_busy_abscissa_closed_form, mm1_busy_lst_closed_form
+from oracles import (erlang_busy_abscissa_closed_form,
+                     md1_busy_abscissa_closed_form,
+                     mm1_busy_abscissa_closed_form, mm1_busy_lst_closed_form)
 
 MM1 = QueueModel(0.5, Exponential(1.0))
 
@@ -81,14 +82,19 @@ def test_cycle_moments_mm1():
                          ids=("mm1", "md1"))
 def test_cycle_moments_vs_simulation(model):
     cm = cycle_moments(model)
-    sim = simulated_cycle_moments(model, 100_000, seed=314)
     n = 100_000
+    rng = np.random.default_rng([314, 4, 0])
+    busy = np.empty(n)
+    total = np.empty(n)
+    for i in range(n):
+        path = simulate_cycle(model, rng)
+        busy[i] = path.busy_length
+        total[i] = path.cycle_length
     # crude stderr for the second moment via the fourth-moment bound of a
     # cycle sample; generous factors keep this a 3-sigma-style check
-    assert sim.busy_mean == pytest.approx(cm.busy_mean, rel=0.05)
-    assert sim.cycle_mean == pytest.approx(cm.cycle_mean, rel=0.03)
-    assert sim.cycle_second == pytest.approx(cm.cycle_second, rel=0.15)
-    assert sim.source == "simulated"
+    assert busy.mean() == pytest.approx(cm.busy_mean, rel=0.05)
+    assert total.mean() == pytest.approx(cm.cycle_mean, rel=0.03)
+    assert np.mean(total**2) == pytest.approx(cm.cycle_second, rel=0.15)
 
 
 def test_cycle_moments_jensen_guard():
@@ -105,18 +111,27 @@ def test_abscissa_examples():
     assert got == pytest.approx(0.25, abs=1e-4)
 
 
-def test_probe_finite_at_zero():
-    for model in STABLE_MODELS:
-        assert _probe_finite(model, 1e-12)
+ABSCISSA_CASES = [
+    *(pytest.param(QueueModel(lam, Exponential(1.0)),
+                   mm1_busy_abscissa_closed_form(lam, 1.0), id=f"mm1-{lam}")
+      for lam in (0.5, 0.9, 0.98)),
+    *(pytest.param(QueueModel(lam, Deterministic(1.0)),
+                   md1_busy_abscissa_closed_form(lam, 1.0), id=f"md1-{lam}")
+      for lam in (0.5, 0.9)),
+    *(pytest.param(QueueModel(lam, Erlang(2, 2.0)),
+                   erlang_busy_abscissa_closed_form(lam, 2, 2.0),
+                   id=f"erlang-{lam}")
+      for lam in (0.5, 0.9)),
+    # short service time: the maximizer sits at z = ln(0.5) / 0.1 < -1, so
+    # the bracket for bounded service has to grow before the search
+    pytest.param(QueueModel(5.0, Deterministic(0.1)),
+                 md1_busy_abscissa_closed_form(5.0, 0.1), id="md1-fast"),
+]
 
 
-@pytest.mark.parametrize("model", [MM1, QueueModel(0.5, Deterministic(1.0)),
-                                   QueueModel(0.3, Erlang(2, 2.0))],
-                         ids=("mm1", "md1", "erlang"))
-def test_abscissa_brackets_divergence(model):
-    absc = busy_cramer_abscissa(model, tol=1e-5)
-    assert _probe_finite(model, 0.9 * absc)
-    assert not _probe_finite(model, 1.1 * absc)
+@pytest.mark.parametrize("model, expected", ABSCISSA_CASES)
+def test_abscissa_matches_closed_form(model, expected):
+    assert busy_cramer_abscissa(model) == pytest.approx(expected, rel=1e-6)
 
 
 @settings(max_examples=25, deadline=None)

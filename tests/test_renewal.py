@@ -1,9 +1,12 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from transient_queue import (Curve, CycleMoments, Erlang, Exponential,
                              QueueModel, TimeGrid, asymptote_remainder,
-                             cycle_moments, default_grid, phi_via_renewal,
+                             cycle_moments, phi_via_renewal,
                              read_curve_csv, renewal_density, renewal_function,
                              renewal_residual, write_curve_csv)
 from transient_queue.renewal import COARSE_GRID_WARNING
@@ -204,13 +207,6 @@ def test_phi_via_renewal_stderr_propagation(erlang_case):
     assert np.allclose(phi.stderr, 0.1 * phi.values, rtol=1e-10)
 
 
-def test_default_grid_resolves_scales():
-    model = QueueModel(0.5, Exponential(1.0))
-    grid = default_grid(model)
-    assert grid.step == pytest.approx(min(1.0 / (20 * 0.5), 1.0 / 20))
-    assert grid.horizon == pytest.approx(80.0 * 2.0, rel=1e-3)
-
-
 def test_curve_csv_round_trip(tmp_path):
     grid = make_grid(0.25, 2.0)
     rng = np.random.default_rng(8)
@@ -222,6 +218,36 @@ def test_curve_csv_round_trip(tmp_path):
     assert back.grid == curve.grid
     assert np.array_equal(back.values, curve.values)
     assert np.array_equal(back.stderr, curve.stderr)
+
+
+def test_write_curve_csv_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text("old\n")
+    real_fdopen = os.fdopen
+
+    class DiskFull:
+        """File whose write stores a prefix, then fails as a full disk does."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda *args, **kw: DiskFull(real_fdopen(*args, **kw)))
+    with pytest.raises(OSError):
+        write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.glob(".tq-*.tmp")) == []
 
 
 def test_curve_validation():

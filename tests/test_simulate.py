@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from transient_queue import (CyclePath, Deterministic, Exponential, McConfig,
                              Mm1Model, QueueModel, TimeGrid, busy_cramer_abscissa,
-                             busy_mean, cycle_moments, estimate_phi, estimate_q,
+                             busy_mean, cycle_moments, estimate_phi,
                              estimate_stationary, first_cycle_study, phi_exact,
                              simulate_cycle, stationary_pk, workload_at)
 from transient_queue.simulate import _stream, _DOMAIN_PHI
@@ -143,7 +143,7 @@ def test_estimate_phi_vs_cycle_concatenation_oracle():
     assert np.mean(z <= 3.0) >= 0.9
 
 
-# ------------------------------------------------------------ estimate_q
+# ----------------------------------------------------- first_cycle_study
 
 @pytest.fixture(scope="module")
 def mm1_study():
@@ -187,12 +187,6 @@ def test_empirical_cdf_properties(mm1_study):
     t = mm1_study.cycle_cdf.times()
     median = t[np.searchsorted(F, 0.5)]
     assert median < cycle_moments(MM1).cycle_mean
-
-
-def test_estimate_q_is_study_q():
-    cfg = McConfig(2_000, 5, grid(0.5, 10.0))
-    assert np.array_equal(estimate_q(MM1, cfg).values,
-                          first_cycle_study(MM1, cfg).q.values)
 
 
 # ----------------------------------------------------- estimate_stationary
