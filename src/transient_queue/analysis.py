@@ -132,7 +132,8 @@ def compare_methods(model: QueueModel, cfg: McConfig,
 
     sim_curve = estimate_phi(model, cfg, threads=threads)
     study = first_cycle_study(model, cfg, threads=threads)
-    renewal_curve = phi_via_renewal(study.q, renewal_function(study.cycle_cdf))
+    renew = renewal_function(study.cycle_cdf)
+    renewal_curve = phi_via_renewal(study.q, renew)
 
     report: dict = {
         "model": {
@@ -144,6 +145,7 @@ def compare_methods(model: QueueModel, cfg: McConfig,
         "grid": {"step": grid.step, "n_points": grid.n_points},
         "methods": methods,
         "phi_stationary": phi_inf,
+        "renewal_warnings": list(renew.warnings),
     }
 
     reference = exact if exact is not None else sim_curve

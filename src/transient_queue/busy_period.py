@@ -51,7 +51,6 @@ class CycleMoments:
     busy_mean: float
     cycle_mean: float
     cycle_second: float
-    source: str  # "analytic" or "simulated"
 
     def __post_init__(self):
         if self.cycle_second < self.cycle_mean**2:
@@ -107,7 +106,6 @@ def cycle_moments(model: QueueModel) -> CycleMoments:
         busy_mean=tau_mean,
         cycle_mean=1.0 / lam + tau_mean,
         cycle_second=cycle_second,
-        source="analytic",
     )
 
 
@@ -118,8 +116,10 @@ def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:
     z = -s + lam * (1 - g), so s = lam * (1 - beta(z)) - z.  The largest s
     with a real root is the maximum of that concave function over
     z in (-delta0, 0], delta0 the service abscissa; golden section narrows
-    the z-bracket to width ``tol``.  Since the maximum is flat, the error in
-    s* is second order in that width.
+    the z-bracket [a, b] until its width is at most ``tol * |a|``.  ``tol``
+    is relative because the maximizer z* < 0 shrinks to 0 as rho -> 1; since
+    a <= z* < 0 the loop ends, and since the maximum is flat, the relative
+    error in s* is second order in ``tol``.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -138,7 +138,7 @@ def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:
     shrink = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - shrink * (b - a), a + shrink * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol * -a:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - shrink * (b - a)

@@ -117,6 +117,9 @@ def _cmd_renewal(args) -> int:
     renew = renewal_function(study.cycle_cdf)
     curve = phi_via_renewal(study.q, renew)
     write_curve_csv(curve, args.output)
+    for warning in renew.warnings:
+        print(f"transient-queue: warning: renewal solve at --step "
+              f"{args.step:g}: {warning}", file=sys.stderr)
     return 0
 
 
@@ -201,7 +204,9 @@ def _add_model_args(p, need_seeded_grid=True):
         p.add_argument("--reps", type=int, required=True)
         p.add_argument("--seed", type=int, required=True,
                        help="base seed (mandatory: keeps outputs reproducible)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; replications run "
+                            "in one thread and the output never depends on it")
     p.add_argument("-o", "--output", required=True)
 
 

@@ -1,25 +1,25 @@
 """Regenerative discrete-event simulation of the M/G/1 workload process.
 
 The workload (virtual waiting time) starts at 0, jumps by the service
-requirement at each Poisson arrival and drains at unit rate.  Replication
-streams are derived from (base_seed, domain, replication_index), so every
-estimator is bit-reproducible and independent of how replications are
-scheduled across threads.
+requirement at each Poisson arrival and drains at unit rate.  Every
+estimator reads it off one kernel: the free process X(t) = (work arrived)
+- t minus its running minimum.  Replication streams are derived from
+(base_seed, domain, replication_index) and replications run in fixed-size
+chunks in one thread, so every estimator is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .busy_period import QueueModel
+from .busy_period import QueueModel, cycle_moments
 from .renewal import Curve, TimeGrid
 
 _EVENT_CAP = 10_000_000
-_CHUNK = 1024  # fixed chunk size keeps merges identical for any thread count
+_CHUNK = 1024  # partial sums are merged per fixed-size chunk, in chunk order
 
 # stream domains, so estimators never share draws for one base seed
 _DOMAIN_PHI = 1
@@ -90,10 +90,26 @@ def simulate_cycle(model: QueueModel, rng: np.random.Generator) -> CyclePath:
         f"rho {model.rho:.3f})")
 
 
-def _workload_after_arrivals(path: CyclePath) -> np.ndarray:
-    # no zero hit between arrivals inside one busy period, so the workload
-    # just after arrival i is cumulative service minus elapsed busy time
-    return np.cumsum(path.services) - (path.epochs - path.epochs[0])
+def _free_minimum(epochs: np.ndarray, services: np.ndarray):
+    """Work arrived ``cum`` and the running minimum ``low`` of the free
+    process X(t) = cum - t, both indexed by the number of arrivals so far.
+
+    X is lowest just before an arrival, so its pre-arrival values (and
+    X(0) = 0) are the only running-minimum candidates besides X(t) itself.
+    """
+    cum = np.concatenate(([0.0], np.cumsum(services)))
+    low = np.minimum.accumulate(np.concatenate(([0.0], cum[:-1] - epochs)))
+    return cum, low
+
+
+def _workload_on_grid(epochs: np.ndarray, services: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """Workload from empty at sorted ``times``, for arrivals at sorted
+    ``epochs``: W(t) = X(t) - min(0, min_{s <= t} X(s))."""
+    cum, low = _free_minimum(epochs, services)
+    idx = np.searchsorted(epochs, times, side="right")
+    x = cum[idx] - times
+    return x - np.minimum(low[idx], x)
 
 
 def workload_at(path: CyclePath, t: float) -> float:
@@ -101,34 +117,25 @@ def workload_at(path: CyclePath, t: float) -> float:
     from the cycle end onward)."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t < path.epochs[0] or t >= path.cycle_length:
+    if t >= path.cycle_length:
         return 0.0
-    idx = int(np.searchsorted(path.epochs, t, side="right")) - 1
-    after = _workload_after_arrivals(path)
-    return max(float(after[idx] - (t - path.epochs[idx])), 0.0)
+    return float(_workload_on_grid(path.epochs, path.services,
+                                   np.array([t]))[0])
 
 
-def _workload_on_grid(path: CyclePath, times: np.ndarray) -> np.ndarray:
-    """Vectorized workload_at for sorted query times."""
-    after = _workload_after_arrivals(path)
-    idx = np.searchsorted(path.epochs, times, side="right")
-    w = np.zeros(len(times))
-    live = idx > 0
-    j = idx[live] - 1
-    w[live] = after[j] - (times[live] - path.epochs[j])
-    np.maximum(w, 0.0, out=w)
-    w[times >= path.cycle_length] = 0.0
-    return w
+def _map_chunks(worker, n_items: int):
+    """Apply ``worker`` to fixed-size index chunks, in chunk order."""
+    return [worker(lo, min(lo + _CHUNK, n_items))
+            for lo in range(0, n_items, _CHUNK)]
 
 
-def _map_chunks(worker, n_items: int, threads: int):
-    """Apply ``worker`` to fixed-size index chunks, merging in chunk order."""
-    starts = range(0, n_items, _CHUNK)
-    chunks = [(s, min(s + _CHUNK, n_items)) for s in starts]
-    if threads <= 1:
-        return [worker(lo, hi) for lo, hi in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda c: worker(*c), chunks))
+def _mean_se(s1: np.ndarray, s2: np.ndarray, reps: int):
+    """Pointwise mean and its standard error from the sums of x and x^2."""
+    mean = s1 / reps
+    if reps > 1:
+        var = np.maximum(s2 - reps * mean**2, 0.0) / (reps - 1)
+        return mean, np.sqrt(var / reps)
+    return mean, np.zeros_like(mean)
 
 
 def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
@@ -136,7 +143,9 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
 
     Each replication simulates the workload path on [0, horizon] from an
     empty system and records W at every grid point; the returned curve is
-    the pointwise mean with its standard error.
+    the pointwise mean with its standard error.  Replications run in one
+    thread; ``threads`` is accepted for compatibility and never changes
+    the output.
     """
     times = cfg.grid.times()
     horizon = cfg.grid.horizon
@@ -151,31 +160,17 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
             count = rng.poisson(lam * horizon)
             epochs = np.sort(rng.uniform(0.0, horizon, count))
             services = np.asarray(model.service.sample(rng, count), dtype=float)
-            cum = np.concatenate(([0.0], np.cumsum(services)))
-            # free process X(t) = work arrived - t; its pre-arrival values
-            # are the only running-minimum candidates besides X(t) itself
-            premin = np.minimum.accumulate(
-                np.concatenate(([0.0], cum[:-1] - epochs)))
-            idx = np.searchsorted(epochs, times, side="right")
-            x = cum[idx] - times
-            w = x - np.minimum(premin[idx], x)
+            w = _workload_on_grid(epochs, services, times)
             s1 += w
             s2 += w * w
         return s1, s2
 
-    parts = _map_chunks(worker, cfg.replications, threads)
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for s1, s2 in parts:
+    for s1, s2 in _map_chunks(worker, cfg.replications):
         total += s1
         total_sq += s2
-    reps = cfg.replications
-    mean = total / reps
-    if reps > 1:
-        var = np.maximum(total_sq - reps * mean**2, 0.0) / (reps - 1)
-        stderr = np.sqrt(var / reps)
-    else:
-        stderr = np.zeros(n)
+    mean, stderr = _mean_se(total, total_sq, cfg.replications)
     return Curve(cfg.grid, mean, stderr=stderr)
 
 
@@ -195,6 +190,8 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
 
     One first cycle per replication, exactly matching the definition of
     q(t) as the pre-regeneration contribution to the mean workload.
+    Replications run in one thread; ``threads`` is accepted for
+    compatibility and never changes the output.
     """
     times = cfg.grid.times()
     n = cfg.grid.n_points
@@ -212,7 +209,7 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
             zeta = path.cycle_length
             lengths[rep - lo] = zeta
             m = min(n, int(math.floor(zeta / step)) + 1)  # grid points < zeta
-            w = _workload_on_grid(path, times[:m])
+            w = _workload_on_grid(path.epochs, path.services, times[:m])
             q1[:m] += w
             q2[:m] += w * w
             exc = np.maximum(zeta - times, 0.0)
@@ -220,13 +217,12 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
             e2 += exc * exc
         return q1, q2, e1, e2, lengths
 
-    parts = _map_chunks(worker, cfg.replications, threads)
     q1 = np.zeros(n)
     q2 = np.zeros(n)
     e1 = np.zeros(n)
     e2 = np.zeros(n)
     lengths = []
-    for p_q1, p_q2, p_e1, p_e2, p_len in parts:
+    for p_q1, p_q2, p_e1, p_e2, p_len in _map_chunks(worker, cfg.replications):
         q1 += p_q1
         q2 += p_q2
         e1 += p_e1
@@ -234,16 +230,8 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
         lengths.append(p_len)
     lengths = np.concatenate(lengths)
     reps = cfg.replications
-
-    def finish(s1, s2):
-        mean = s1 / reps
-        if reps > 1:
-            var = np.maximum(s2 - reps * mean**2, 0.0) / (reps - 1)
-            return mean, np.sqrt(var / reps)
-        return mean, np.zeros(n)
-
-    q_mean, q_se = finish(q1, q2)
-    e_mean, e_se = finish(e1, e2)
+    q_mean, q_se = _mean_se(q1, q2, reps)
+    e_mean, e_se = _mean_se(e1, e2, reps)
     sorted_lengths = np.sort(lengths)
     cdf = np.searchsorted(sorted_lengths, times, side="right") / reps
     return FirstCycleStats(
@@ -255,7 +243,8 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
 
 
 def _cycle_area(path: CyclePath) -> float:
-    after = _workload_after_arrivals(path)
+    cum, low = _free_minimum(path.epochs, path.services)
+    after = cum[1:] - path.epochs - low[1:]  # workload just after each arrival
     gaps = np.diff(path.epochs)
     area = float(np.dot(after[:-1], gaps) - 0.5 * np.dot(gaps, gaps))
     return area + 0.5 * float(after[-1]) ** 2
@@ -269,8 +258,6 @@ def estimate_stationary(model: QueueModel, horizon: float,
     the ratio estimator sum(area)/sum(length) comes with the classical
     cycle-based standard error.
     """
-    from .busy_period import cycle_moments
-
     cm = cycle_moments(model)
     if horizon < 1000.0 * cm.cycle_mean:
         raise ValueError(

@@ -3,7 +3,8 @@
 Everything here is deliberately built from different primitives than the
 code under test: power series instead of backward recurrences, an ODE
 integrator instead of Bessel sums, closed forms instead of fixed points,
-and a plain cycle-by-cycle walk instead of the vectorized path sampler.
+and a plain Lindley walk over the arrivals instead of the vectorized
+workload kernel.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from transient_queue import Curve, McConfig, QueueModel, simulate_cycle, workload_at
+from transient_queue import Curve, McConfig, QueueModel, simulate_cycle
 from transient_queue.simulate import _stream, _DOMAIN_PHI
 
 
@@ -98,12 +99,30 @@ def erlang2_renewal(t):
     return 1.0 + t / 2.0 - 0.25 + np.exp(-2.0 * t) / 4.0
 
 
+def workload_by_lindley(epochs, services, times) -> np.ndarray:
+    """Workload from empty at sorted times, by walking the sorted arrivals:
+    a gap drains the workload at unit rate but not below 0, and an arrival
+    adds its service, w <- max(w - gap, 0) + s."""
+    out = np.zeros(len(times))
+    w = 0.0     # workload just after the last arrival walked
+    last = 0.0  # epoch of that arrival
+    j = 0
+    for i, t in enumerate(times):
+        while j < len(epochs) and epochs[j] <= t:
+            w = max(w - (epochs[j] - last), 0.0) + services[j]
+            last = epochs[j]
+            j += 1
+        out[i] = max(w - (t - last), 0.0)
+    return out
+
+
 def phi_by_cycle_concatenation(model: QueueModel, cfg: McConfig) -> Curve:
     """Mean workload estimated by walking explicit regeneration cycles.
 
     Independent of the vectorized path sampler in estimate_phi: cycles are
-    simulated one by one and the workload is read off each CyclePath.
-    Uses its own stream domain offset so draws never coincide.
+    simulated one by one, laid end to end, and the workload is read off
+    their arrivals by a Lindley walk.  Uses its own stream domain offset so
+    draws never coincide.
     """
     times = cfg.grid.times()
     n = len(times)
@@ -111,16 +130,15 @@ def phi_by_cycle_concatenation(model: QueueModel, cfg: McConfig) -> Curve:
     s2 = np.zeros(n)
     for rep in range(cfg.replications):
         rng = _stream(cfg.base_seed, _DOMAIN_PHI + 1000, rep)
-        w = np.zeros(n)
+        epochs = []
+        services = []
         start = 0.0
-        i = 0
-        while i < n:
+        while start <= times[-1]:
             path = simulate_cycle(model, rng)
-            end = start + path.cycle_length
-            while i < n and times[i] < end:
-                w[i] = workload_at(path, times[i] - start)
-                i += 1
-            start = end
+            epochs.extend(start + path.epochs)
+            services.extend(path.services)
+            start += path.cycle_length
+        w = workload_by_lindley(epochs, services, times)
         s1 += w
         s2 += w * w
     mean = s1 / cfg.replications

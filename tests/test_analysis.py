@@ -208,6 +208,12 @@ def test_compare_methods_mm1(mm1_report):
     assert report["verdict"]["mc_within_3stderr_95pct"]
     assert set(report["curves"]) == {"exact_series", "simulation", "renewal"}
     assert report["fit"]["theoretical_rate"] == pytest.approx(0.0857864, abs=1e-6)
+    assert report["renewal_warnings"] == []
+
+
+def test_compare_methods_reports_coarse_grid():
+    report = compare_methods(MM1, McConfig(2_000, 3, grid(0.5, 10.0)))
+    assert report["renewal_warnings"] == ["coarse_grid"]
 
 
 def test_compare_methods_md1():

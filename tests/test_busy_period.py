@@ -75,7 +75,6 @@ def test_cycle_moments_mm1():
                                           abs=1e-12)
     assert cm.cycle_second == pytest.approx(32.0)
     assert cm.cycle_second / (2 * cm.cycle_mean**2) == pytest.approx(1.0)
-    assert cm.source == "analytic"
 
 
 @pytest.mark.parametrize("model", [MM1, QueueModel(0.5, Deterministic(1.0))],
@@ -99,8 +98,7 @@ def test_cycle_moments_vs_simulation(model):
 
 def test_cycle_moments_jensen_guard():
     with pytest.raises(ValueError):
-        CycleMoments(busy_mean=1.0, cycle_mean=4.0, cycle_second=15.0,
-                     source="analytic")
+        CycleMoments(busy_mean=1.0, cycle_mean=4.0, cycle_second=15.0)
 
 
 def test_abscissa_examples():
@@ -126,6 +124,17 @@ ABSCISSA_CASES = [
     # the bracket for bounded service has to grow before the search
     pytest.param(QueueModel(5.0, Deterministic(0.1)),
                  md1_busy_abscissa_closed_form(5.0, 0.1), id="md1-fast"),
+    # heavy traffic: z* -> 0, so an absolute bracket width loses s*
+    *(pytest.param(QueueModel(lam, Exponential(1.0)),
+                   mm1_busy_abscissa_closed_form(lam, 1.0), id=f"mm1-{lam}")
+      for lam in (0.999, 0.9999)),
+    *(pytest.param(QueueModel(lam, Deterministic(1.0)),
+                   md1_busy_abscissa_closed_form(lam, 1.0), id=f"md1-{lam}")
+      for lam in (0.999, 0.9999)),
+    *(pytest.param(QueueModel(lam, Erlang(2, 2.0)),
+                   erlang_busy_abscissa_closed_form(lam, 2, 2.0),
+                   id=f"erlang-{lam}")
+      for lam in (0.999, 0.9999)),
 ]
 
 

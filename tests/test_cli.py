@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from transient_queue import (Exponential, McConfig, QueueModel, TimeGrid,
+                             first_cycle_study, phi_via_renewal,
+                             renewal_function, write_curve_csv)
 from transient_queue.cli import main
+from transient_queue.renewal import COARSE_GRID_WARNING
 
 BIN = [sys.executable, "-m", "transient_queue.cli"]
 
@@ -130,7 +134,7 @@ def test_fit_rate_needs_phi_inf_source(tmp_path):
     assert code == 2
 
 
-def test_renewal_command(tmp_path):
+def test_renewal_command(tmp_path, capsys):
     out = tmp_path / "renew.csv"
     code = main(["renewal", "--lambda", "0.5", "--service", "exp:rate=1",
                  "--t-max", "10", "--step", "0.1", "--reps", "4000",
@@ -139,6 +143,25 @@ def test_renewal_command(tmp_path):
     rows = out.read_text().strip().split("\n")
     assert rows[0] == "t,value,stderr"
     assert len(rows) == 1 + 101
+    assert capsys.readouterr().err == ""
+
+
+def test_renewal_command_warns_on_coarse_grid(tmp_path, capsys):
+    out = tmp_path / "renew.csv"
+    argv = ["renewal", "--lambda", "0.5", "--service", "exp:rate=1",
+            "--t-max", "10", "--step", "0.5", "--reps", "2000", "--seed", "3"]
+    assert main(argv + ["-o", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["transient-queue: warning: renewal solve at --step 0.5: "
+                   "coarse_grid"]
+    # the warning goes to stderr only: same CSV as the library route
+    cfg = McConfig(2000, 3, TimeGrid(step=0.5, n_points=21))
+    study = first_cycle_study(QueueModel(0.5, Exponential(1.0)), cfg)
+    renew = renewal_function(study.cycle_cdf)
+    assert renew.warnings == (COARSE_GRID_WARNING,)
+    expected = tmp_path / "expected.csv"
+    write_curve_csv(phi_via_renewal(study.q, renew), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_compare_command_writes_report(tmp_path):
@@ -150,6 +173,7 @@ def test_compare_command_writes_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["methods"] == ["exact_series", "simulation", "renewal"]
     assert "max_z" in report and "max_rel_gap" in report
+    assert report["renewal_warnings"] == []
     assert "curves" not in report
 
 

@@ -1,13 +1,16 @@
-"""Every package name the benchmark and the scripts import must exist."""
+"""Every package name the benchmark and the scripts import must exist, and
+the test oracles share no workload code with the package."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def package_imports(path):
@@ -28,3 +31,16 @@ def test_imported_names_resolve(path):
     missing = [f"{module}.{name}" for module, name in package_imports(path)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_oracles_share_only_sampling_and_seeding():
+    # an oracle reading W through workload_at or _workload_on_grid would
+    # check the workload kernel with itself
+    shared = set()
+    for module, name in package_imports(ORACLES):
+        obj = getattr(importlib.import_module(module), name)
+        if module == "transient_queue.simulate" or (
+                inspect.isfunction(obj)
+                and obj.__module__ == "transient_queue.simulate"):
+            shared.add(name)
+    assert shared <= {"simulate_cycle", "_stream", "_DOMAIN_PHI"}

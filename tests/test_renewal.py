@@ -124,8 +124,7 @@ def test_renewal_density_erlang_limit(erlang_case):
 
 def test_asymptote_remainder_poisson_exact(poisson_case):
     _, H = poisson_case
-    cm_poisson = CycleMoments(busy_mean=0.5, cycle_mean=1.0, cycle_second=2.0,
-                              source="analytic")
+    cm_poisson = CycleMoments(busy_mean=0.5, cycle_mean=1.0, cycle_second=2.0)
     asym, rem = asymptote_remainder(H, cm_poisson)
     t = H.times()
     assert np.allclose(asym.values, t + 1.0)
@@ -134,8 +133,7 @@ def test_asymptote_remainder_poisson_exact(poisson_case):
 
 def test_asymptote_remainder_erlang_decays(erlang_case):
     _, H = erlang_case
-    cm = CycleMoments(busy_mean=1.0, cycle_mean=2.0, cycle_second=6.0,
-                      source="analytic")
+    cm = CycleMoments(busy_mean=1.0, cycle_mean=2.0, cycle_second=6.0)
     asym, rem = asymptote_remainder(H, cm)
     assert asym.values[0] == pytest.approx(0.75)
     # remainder e^{-2t}/4 decays below 10x the scheme error by the horizon

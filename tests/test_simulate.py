@@ -10,9 +10,9 @@ from transient_queue import (CyclePath, Deterministic, Exponential, McConfig,
                              busy_mean, cycle_moments, estimate_phi,
                              estimate_stationary, first_cycle_study, phi_exact,
                              simulate_cycle, stationary_pk, workload_at)
-from transient_queue.simulate import _stream, _DOMAIN_PHI
+from transient_queue.simulate import _stream, _workload_on_grid, _DOMAIN_PHI
 
-from oracles import phi_by_cycle_concatenation
+from oracles import phi_by_cycle_concatenation, workload_by_lindley
 
 MM1 = QueueModel(0.5, Exponential(1.0))
 MD1 = QueueModel(0.5, Deterministic(1.0))
@@ -102,6 +102,37 @@ def test_workload_at_two_arrivals():
     assert workload_at(path, 1.5) == pytest.approx(2.5)  # 1.5 left + 1 new
     assert workload_at(path, 3.0) == pytest.approx(1.0)
     assert workload_at(path, 3.9999) == pytest.approx(0.0001, abs=1e-9)
+
+
+# ------------------------------------------------------- workload kernel
+
+def test_kernel_handcrafted_path_with_two_busy_periods():
+    epochs = np.array([1.0, 1.5, 6.0])
+    services = np.array([2.0, 1.0, 0.5])
+    times = np.array([1.0, 1.5, 4.0, 5.0, 6.0, 6.25, 7.0])
+    w = _workload_on_grid(epochs, services, times)
+    assert w == pytest.approx([2.0, 2.5, 0.0, 0.0, 0.5, 0.25, 0.0], abs=1e-15)
+
+
+def test_kernel_empty_path_is_zero():
+    times = np.linspace(0.0, 5.0, 11)
+    w = _workload_on_grid(np.empty(0), np.empty(0), times)
+    assert np.array_equal(w, np.zeros(11))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrivals=st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 3.0)),
+                         max_size=30))
+def test_kernel_matches_lindley_walk(arrivals):
+    # (gap, service) pairs: gaps up to 5 against services up to 3 leave idle
+    # periods between busy periods
+    gaps, services = np.array(arrivals).reshape(-1, 2).T
+    epochs = np.cumsum(gaps)
+    end = gaps.sum() + services.sum() + 1.0
+    times = np.sort(np.concatenate((np.linspace(0.0, end, 97), epochs)))
+    np.testing.assert_allclose(_workload_on_grid(epochs, services, times),
+                               workload_by_lindley(epochs, services, times),
+                               rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------- estimate_phi
