@@ -54,6 +54,12 @@ def _make_model(args) -> QueueModel:
         raise ValidationError(str(exc)) from exc
 
 
+def _make_config(args, grid: TimeGrid) -> McConfig:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    return McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
+
+
 def _model_summary(model: QueueModel) -> dict:
     return {
         "arrival_rate": model.arrival_rate,
@@ -65,7 +71,7 @@ def _model_summary(model: QueueModel) -> dict:
 def _cmd_simulate(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
-    cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
+    cfg = _make_config(args, grid)
     curve = estimate_phi(model, cfg, threads=args.threads)
     write_curve_csv(curve, args.output)
     horizon = 1000.0 * cycle_moments(model).cycle_mean
@@ -90,9 +96,9 @@ def _cmd_mm1_exact(args) -> int:
         raise ValidationError(str(exc)) from exc
     grid = _make_grid(args.t_max, args.step)
     times = grid.times()
-    phi_def = np.array([mm1.phi_exact(model, float(t)) for t in times])
-    phi_lit = np.array([mm1.phi_exact(model, float(t), paper_literal=True)
-                        for t in times])
+    phi_def, p0 = np.array([mm1._phi_and_p0(model, float(t))
+                            for t in times]).T
+    phi_lit = phi_def + p0
     asym = np.array([mm1.phi_asymptotic(model, float(t)) if t > 0 else math.nan
                      for t in times])
     # the asymptote carries the printed constant; compare it against the
@@ -112,7 +118,7 @@ def _cmd_mm1_exact(args) -> int:
 def _cmd_renewal(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
-    cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
+    cfg = _make_config(args, grid)
     study = first_cycle_study(model, cfg, threads=args.threads)
     renew = renewal_function(study.cycle_cdf)
     curve = phi_via_renewal(study.q, renew)
@@ -186,7 +192,7 @@ def _cmd_fit_rate(args) -> int:
 def _cmd_compare(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
-    cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
+    cfg = _make_config(args, grid)
     report = compare_methods(model, cfg, threads=args.threads)
     report.pop("curves")
     atomic_write(args.output, _json_text(report))

@@ -7,8 +7,10 @@ so downstream numerics can always be checked against analytic values.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,13 +216,22 @@ class HyperExponential(ServiceDistribution):
             val += w * -np.expm1(-r * xc)
         return np.where(x > 0, val, 0.0)[()]
 
+    @cached_property
+    def _mixer(self):
+        """Normalized cumulative weights and component scales.  The weights
+        are formed as ``Generator.choice(p=weights)`` forms them, so one
+        uniform per draw picks the component ``choice`` would, without
+        ``choice``'s per-call validation."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        return cdf.tolist(), 1.0 / np.asarray(self.rates)
+
     def sample(self, rng, size=None):
-        rates = np.asarray(self.rates)
+        cdf, scales = self._mixer
         if size is None:
-            idx = rng.choice(len(rates), p=self.weights)
-            return rng.exponential(1.0 / rates[idx])
-        idx = rng.choice(len(rates), p=self.weights, size=size)
-        return rng.exponential(1.0 / rates[idx])
+            return rng.exponential(scales[bisect.bisect_right(cdf, rng.random())])
+        idx = np.searchsorted(cdf, rng.random(size), side="right")
+        return rng.exponential(scales[idx])
 
     def spec_string(self) -> str:
         w = "|".join(f"{v:g}" for v in self.weights)

@@ -162,10 +162,17 @@ def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
     approaches (1-rho) + rho/(mu(1-rho)), the constant of
     ``phi_asymptotic``.
     """
+    value, p0 = _phi_and_p0(model, t)
+    return value + p0 if paper_literal else value
+
+
+def _phi_and_p0(model: Mm1Model, t: float) -> tuple[float, float]:
+    """``phi_exact``'s default value and P_0(t), from one series evaluation;
+    the paper-literal value is their sum."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
-        return 1.0 if paper_literal else 0.0
+        return 0.0, 1.0
     mu, rho = model.service_rate, model.rho
     K = _phi_truncation_order(model, t)
     while True:
@@ -183,10 +190,7 @@ def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
             break
         K *= 2
     k = np.arange(1, K + 1)
-    value = float(np.dot(probs[1:], k / mu))
-    if paper_literal:
-        value += float(probs[0])
-    return value
+    return float(np.dot(probs[1:], k / mu)), float(probs[0])
 
 
 def phi_asymptotic(model: Mm1Model, t: float) -> float:

@@ -10,6 +10,7 @@ naive right-endpoint placement while keeping the recursion monotone.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,12 +69,26 @@ class Curve:
         return self.grid.times()
 
 
+def _plain_open_mode(path) -> int:
+    """Permission bits ``open(path, "w")`` would leave: the replaced file's
+    own, or 0o666 less the umask for a new file."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and a rename, so a
-    failure never leaves a half-written file in place of the old one."""
+    failure never leaves a half-written file in place of the old one.
+    The file gets the mode a plain ``open(path, "w")`` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    mode = _plain_open_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tq-", suffix=".tmp")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -143,9 +158,7 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     _validate_cdf(F)
     grid = cycle_cdf.grid
     n = grid.n_points
-    dF = np.empty(n)
-    dF[0] = 0.0
-    dF[1:] = np.diff(F)
+    dF = np.diff(F, prepend=F[0])
     H = np.empty(n)
     H[0] = 1.0
     pivot = 1.0 - 0.5 * dF[1]
@@ -167,19 +180,8 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
 def renewal_residual(H: Curve, cycle_cdf: Curve) -> np.ndarray:
     """Residual of the discrete renewal equation actually solved (== 0)."""
     F = cycle_cdf.values
-    n = H.grid.n_points
-    dF = np.empty(n)
-    dF[0] = 0.0
-    dF[1:] = np.diff(F)
     h = H.values
-    res = np.empty(n)
-    res[0] = h[0] - 1.0
-    for i in range(1, n):
-        past = h[i - 1 :: -1]
-        s_lo = np.dot(dF[1 : i + 1], past)
-        s_hi = np.dot(dF[2 : i + 1], past[: i - 1]) + dF[1] * h[i]
-        res[i] = h[i] - 1.0 - 0.5 * (s_lo + s_hi)
-    return res
+    return h - 1.0 - _stieltjes(h, np.diff(F, prepend=F[0]))
 
 
 def renewal_density(H: Curve) -> Curve:
@@ -207,26 +209,25 @@ def phi_via_renewal(q: Curve, H: Curve) -> Curve:
     """
     if q.grid != H.grid:
         raise ValueError("q and H must share one grid")
-    n = q.grid.n_points
-    dH = np.empty(n)
-    dH[0] = 0.0
-    dH[1:] = np.diff(H.values)
+    dH = np.diff(H.values, prepend=H.values[0])
     if np.any(dH < -1e-12):
         raise ValueError("H must be nondecreasing")
-
-    dH_next = np.empty(n)
-    dH_next[:-1] = dH[1:]
-    dH_next[-1] = 0.0
-
-    def convolve(vec: np.ndarray) -> np.ndarray:
-        full = np.convolve(vec, dH)
-        lo = full[:n]                       # sum_j vec_{i-j}   dH_j, j <= i
-        hi = np.empty(n)
-        hi[:-1] = full[1:n]                 # sum_j vec_{i-j+1} dH_j, j <= i+1
-        hi[-1] = full[n] if len(full) > n else 0.0
-        hi -= vec[0] * dH_next              # drop the j = i+1 cell (above t_i)
-        return vec + 0.5 * (lo + hi)
-
-    values = convolve(q.values)
-    stderr = convolve(q.stderr) if q.stderr is not None else None
+    values = q.values + _stieltjes(q.values, dH)
+    stderr = (q.stderr + _stieltjes(q.stderr, dH)
+              if q.stderr is not None else None)
     return Curve(q.grid, values, stderr=stderr)
+
+
+def _stieltjes(vec: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """Midpoint Stieltjes sums int_(0, t_i] vec(t_i - y) dX(y) on the grid.
+
+    ``dX[j]`` is the increment of X over the cell (t_{j-1}, t_j] (``dX[0]``
+    is 0); it is placed at the cell midpoint, where vec is taken as the
+    mean of its values at the cell's two ends.
+    """
+    n = len(vec)
+    full = np.convolve(vec, dX)
+    lo = full[:n]                       # sum_j vec_{i-j}   dX_j, j <= i
+    hi = full[1 : n + 1].copy()         # sum_j vec_{i-j+1} dX_j, j <= i+1
+    hi[:-1] -= vec[0] * dX[1:]          # drop the j = i+1 cell (above t_i)
+    return 0.5 * (lo + hi)

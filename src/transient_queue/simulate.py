@@ -54,10 +54,28 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+
+
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 entropy SeedSequence derives from a list of ints: each
+    value split into little-endian 32-bit words (one word for 0), in order.
+    Handing it over as an array skips SeedSequence's per-int conversion."""
+    words = []
+    for value in values:
+        if value < 0:
+            raise ValueError(f"seed values must be >= 0, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 def _stream(base_seed: int, domain: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([base_seed, domain, index]))
+    """The generator of ``SeedSequence([base_seed, domain, index])``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(_seed_words(base_seed, domain, index)))
 
 
 def simulate_cycle(model: QueueModel, rng: np.random.Generator) -> CyclePath:
@@ -208,13 +226,15 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
             path = simulate_cycle(model, rng)
             zeta = path.cycle_length
             lengths[rep - lo] = zeta
-            m = min(n, int(math.floor(zeta / step)) + 1)  # grid points < zeta
+            # grid points from m on lie at or above zeta (rounding is
+            # monotone), where the workload and (zeta - t)+ are exactly 0
+            m = min(n, int(math.floor(zeta / step)) + 1)
             w = _workload_on_grid(path.epochs, path.services, times[:m])
             q1[:m] += w
             q2[:m] += w * w
-            exc = np.maximum(zeta - times, 0.0)
-            e1 += exc
-            e2 += exc * exc
+            exc = np.maximum(zeta - times[:m], 0.0)
+            e1[:m] += exc
+            e2[:m] += exc * exc
         return q1, q2, e1, e2, lengths
 
     q1 = np.zeros(n)

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from transient_queue import (Exponential, McConfig, QueueModel, TimeGrid,
-                             first_cycle_study, phi_via_renewal,
-                             renewal_function, write_curve_csv)
+from transient_queue import (Exponential, McConfig, Mm1Model, QueueModel,
+                             TimeGrid, first_cycle_study, phi_exact,
+                             phi_via_renewal, renewal_function,
+                             write_curve_csv)
 from transient_queue.cli import main
 from transient_queue.renewal import COARSE_GRID_WARNING
 
@@ -35,6 +36,17 @@ def test_mm1_exact_row_count(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,phi_exact,phi_paper_literal,phi_asymptotic,abs_gap"
     assert len(lines) == 1 + 801
+
+
+def test_mm1_exact_columns_are_phi_exact(tmp_path):
+    out = tmp_path / "mm1.csv"
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1",
+                 "--t-max", "6", "--step", "0.5", "-o", str(out)]) == 0
+    model = Mm1Model(0.5, 1.0)
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    for t, default, literal, _, _ in rows:
+        assert float(default) == phi_exact(model, float(t))
+        assert float(literal) == phi_exact(model, float(t), paper_literal=True)
 
 
 def test_simulate_deterministic_reruns(tmp_path):
@@ -72,6 +84,17 @@ def test_unstable_model_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "rho" in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "renewal", "compare"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "x.out"
+    code = main([command, "--lambda", "0.5", "--service", "exp:rate=1",
+                 "--t-max", "1", "--step", "0.5", "--reps", "10",
+                 "--seed", "-1", "-o", str(out)])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_service_spec_exits_2(tmp_path):

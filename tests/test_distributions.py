@@ -108,6 +108,32 @@ def test_sampling_reproducible():
     assert Deterministic(1.0).sample(np.random.default_rng(3)) == 1.0
 
 
+@pytest.mark.parametrize("weights, rates", [
+    ((0.3, 0.7), (1.0, 2.0)),
+    ((1.0,), (2.0,)),
+    ((1.0, 0.0), (1.0, 3.0)),
+    ((0.0, 1.0), (1.0, 3.0)),
+    ((0.2, 0.5, 0.3), (0.5, 1.0, 4.0)),
+])
+def test_hyperexp_draws_match_choice_then_exponential(weights, rates):
+    # the sampler must pick each component with the very uniform that
+    # Generator.choice(p=weights) consumes, so seeded streams never move
+    dist = HyperExponential(weights, rates)
+    scales = 1.0 / np.asarray(rates)
+    for seed in range(200):
+        fast = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = [dist.sample(fast) for _ in range(12)]
+        got += list(dist.sample(fast, 9)) + list(dist.sample(fast, (2, 3)).ravel())
+        want = [ref.exponential(scales[ref.choice(len(rates), p=weights)])
+                for _ in range(12)]
+        for size in (9, (2, 3)):
+            idx = ref.choice(len(rates), p=weights, size=size)
+            want += list(ref.exponential(scales[idx]).ravel())
+        assert got == want
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
 def test_law_of_large_numbers():
     rng = np.random.default_rng(2024)
     x = Exponential(1.0).sample(rng, 1_000_000)

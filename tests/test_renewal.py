@@ -1,5 +1,6 @@
 import errno
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_renewal_function_nondecreasing(erlang_case):
 def test_renewal_residual_is_zero(erlang_case):
     F, H = erlang_case
     assert np.abs(renewal_residual(H, F)).max() < 1e-12
+
+
+def test_renewal_residual_sees_a_perturbation(erlang_case):
+    F, H = erlang_case
+    i = H.grid.n_points // 2
+    bumped = H.values.copy()
+    bumped[i] += 1e-6
+    res = renewal_residual(Curve(H.grid, bumped), F)
+    # the bump enters h_i once and the Stieltjes sums only through dF
+    assert res[i] == pytest.approx(1e-6, rel=0.01)
+    assert np.abs(res[:i]).max() < 1e-12
+    assert np.abs(res).max() == pytest.approx(1e-6, rel=0.01)
 
 
 def test_renewal_function_validates_cdf():
@@ -246,6 +259,26 @@ def test_write_curve_csv_failure_keeps_old_file(tmp_path, monkeypatch):
         write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
     assert path.read_text() == "old\n"
     assert list(tmp_path.glob(".tq-*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_file_mode_follows_umask(tmp_path, umask):
+    path = tmp_path / "curve.csv"
+    old = os.umask(umask)
+    try:
+        write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_rewritten_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text().startswith("t,value")
 
 
 def test_curve_validation():

@@ -10,7 +10,8 @@ from transient_queue import (CyclePath, Deterministic, Exponential, McConfig,
                              busy_mean, cycle_moments, estimate_phi,
                              estimate_stationary, first_cycle_study, phi_exact,
                              simulate_cycle, stationary_pk, workload_at)
-from transient_queue.simulate import _stream, _workload_on_grid, _DOMAIN_PHI
+from transient_queue.simulate import (_DOMAIN_FIRST_CYCLE, _DOMAIN_PHI, _stream,
+                                      _workload_on_grid)
 
 from oracles import phi_by_cycle_concatenation, workload_by_lindley
 
@@ -258,6 +259,8 @@ def test_phi_tail_agrees_with_stationary():
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(0, 1, grid(0.5, 5.0))
+    with pytest.raises(ValueError, match="base_seed"):
+        McConfig(10, -1, grid(0.5, 5.0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,3 +280,42 @@ def test_streams_are_distinct():
     c = _stream(2, _DOMAIN_PHI, 0).random(4)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_stream_is_seed_sequence_of_the_triple(base):
+    for domain, index in ((1, 0), (2, 7), (3, 2**33 + 1)):
+        want = np.random.default_rng(
+            np.random.SeedSequence([base, domain, index]))
+        got = _stream(base, domain, index)
+        assert np.array_equal(got.random(8), want.random(8))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_stream_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        _stream(-1, _DOMAIN_PHI, 0)
+    with pytest.raises(ValueError):
+        _stream(1, _DOMAIN_PHI, -1)
+
+
+@pytest.mark.parametrize("model", [MM1, MD1], ids=["mm1", "md1"])
+def test_excess_equals_full_grid_sum(model):
+    # the study adds (zeta - t)+ only below each cycle's end; the sum over
+    # the whole grid must come out the same, bit for bit (one chunk of
+    # replications, so the reference sums in the study's order)
+    cfg = McConfig(1000, 99, grid(0.1, 12.0))
+    study = first_cycle_study(model, cfg)
+    times = cfg.grid.times()
+    e1 = np.zeros(cfg.grid.n_points)
+    e2 = np.zeros(cfg.grid.n_points)
+    for rep in range(cfg.replications):
+        path = simulate_cycle(model, _stream(99, _DOMAIN_FIRST_CYCLE, rep))
+        assert path.cycle_length == study.cycle_lengths[rep]
+        exc = np.maximum(path.cycle_length - times, 0.0)
+        e1 += exc
+        e2 += exc * exc
+    mean = e1 / cfg.replications
+    var = np.maximum(e2 - cfg.replications * mean**2, 0.0) / (cfg.replications - 1)
+    assert np.array_equal(study.excess.values, mean)
+    assert np.array_equal(study.excess.stderr, np.sqrt(var / cfg.replications))
