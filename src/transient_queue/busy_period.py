@@ -30,8 +30,9 @@ class QueueModel:
     service: ServiceDistribution
 
     def __post_init__(self):
-        if self.arrival_rate <= 0:
-            raise ValueError(f"arrival rate must be > 0, got {self.arrival_rate}")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ValueError(
+                f"arrival rate must be finite and > 0, got {self.arrival_rate}")
         rho = self.rho
         if rho >= 1:
             raise ValueError(

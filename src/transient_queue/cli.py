@@ -36,10 +36,9 @@ def _json_text(payload: dict) -> str:
 
 
 def _make_grid(t_max: float, step: float) -> TimeGrid:
-    if t_max <= 0:
-        raise ValidationError(f"--t-max must be > 0, got {t_max}")
-    if step <= 0:
-        raise ValidationError(f"--step must be > 0, got {step}")
+    for flag, value in (("--t-max", t_max), ("--step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{flag} must be finite and > 0, got {value}")
     n_points = int(math.floor(t_max / step + 1e-9)) + 1
     if n_points < 2:
         raise ValidationError("--t-max must cover at least one step")
@@ -88,16 +87,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mm1_exact(args) -> int:
-    if args.lam <= 0 or args.mu <= 0:
-        raise ValidationError("--lambda and --mu must be > 0")
+    if not all(math.isfinite(r) and r > 0 for r in (args.lam, args.mu)):
+        raise ValidationError("--lambda and --mu must be finite and > 0")
     try:
         model = mm1.Mm1Model(args.lam, args.mu)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     grid = _make_grid(args.t_max, args.step)
     times = grid.times()
-    phi_def, p0 = np.array([mm1._phi_and_p0(model, float(t))
-                            for t in times]).T
+    phi_def, p0 = mm1._phi_and_p0(model, times)
     phi_lit = phi_def + p0
     asym = np.array([mm1.phi_asymptotic(model, float(t)) if t > 0 else math.nan
                      for t in times])

@@ -16,6 +16,10 @@ import numpy as np
 
 _PN_TAIL_CAP = 200_000
 _PHI_TERM_CAP = 100_000
+# the series of many time points run together; each array of one batch holds
+# at most this many (point, order) entries, so memory does not grow with the
+# grid
+_BATCH_ENTRIES = 1 << 15
 
 
 class SeriesTruncationError(RuntimeError):
@@ -34,8 +38,11 @@ class Mm1Model:
     service_rate: float
 
     def __post_init__(self):
-        if self.arrival_rate <= 0 or self.service_rate <= 0:
-            raise ValueError("arrival_rate and service_rate must be > 0")
+        if not all(math.isfinite(r) and r > 0
+                   for r in (self.arrival_rate, self.service_rate)):
+            raise ValueError(
+                f"arrival_rate and service_rate must be finite and > 0, got "
+                f"{self.arrival_rate} and {self.service_rate}")
         if self.rho >= 1:
             raise ValueError(
                 f"unstable queue: rho = {self.rho:.6g} must be < 1")
@@ -50,8 +57,63 @@ def theoretical_rate(model: Mm1Model) -> float:
     return (math.sqrt(model.service_rate) - math.sqrt(model.arrival_rate)) ** 2
 
 
-def _miller_start_order(x: float) -> int:
-    return math.ceil(x + 40.0 * math.sqrt(x) + 40.0)
+def _miller_start_order(x):
+    return np.ceil(x + 40.0 * np.sqrt(x) + 40.0).astype(np.int64)
+
+
+def _batches(widths: np.ndarray):
+    """Split positions 0 .. len(widths)-1, taken in order of width, into
+    batches of at most _BATCH_ENTRIES (points x widest point) entries; a
+    point wider than that goes alone."""
+    batch = []
+    for j in np.argsort(widths, kind="stable"):
+        if batch and (len(batch) + 1) * widths[j] > _BATCH_ENTRIES:
+            yield np.array(batch)
+            batch = []
+        batch.append(j)
+    if batch:
+        yield np.array(batch)
+
+
+def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Row j holds log(e^{-x_j} I_n(x_j)) for n = 0 .. start_j + 1 (x_j > 0).
+
+    Backward (Miller) recurrence on the ratios q_k = I_k / I_{k+1},
+    q_k = 2(k+1)/x + 1/q_{k+1}, run one order at a time across all x_j;
+    column j takes its starting value at its own order start_j, safely past
+    the decay point of I_n(x_j) in n.  The ratios are accumulated in the
+    log domain and normalized through the generating identity at y = 1:
+    the scaled values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1.  Each column
+    sees exactly the arithmetic of a recurrence run for it alone.  Entries
+    past start_j + 1 are finite but meaningless.
+    """
+    width = int(start.max()) + 1
+    q = 2.0 * np.arange(1, width + 1)[:, None] / x   # row k: 2(k+1)/x
+    init = 2.0 * (start + 1) / x + x / (2.0 * (start + 2))
+    begins = {}
+    for j, s in enumerate(start.tolist()):
+        begins.setdefault(s, []).append(j)
+    q[-1] += x / (2.0 * (width + 1))
+    inv = np.empty(len(x))
+    prev = q[-1]
+    for k, row in zip(range(width - 2, -1, -1), q[-2::-1]):
+        np.reciprocal(prev, inv)
+        np.add(row, inv, row)
+        cols = begins.get(k)
+        if cols is not None:
+            row[cols] = init[cols]
+        prev = row
+    np.log(q, out=q)
+    np.negative(q, out=q)
+    np.cumsum(q, axis=0, out=q)                      # log(I_{n+1} / I_0)
+    out = np.empty((len(x), width + 1))
+    out[:, 0] = 0.0                                  # log(I_0 / I_0)
+    out[:, 1:] = q.T
+    del q
+    log_norm = [math.log(1.0 + 2.0 * float(np.exp(row[1 : s + 2]).sum()))
+                for row, s in zip(out, start.tolist())]
+    out -= np.array(log_norm)[:, None]
+    return out
 
 
 def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
@@ -62,95 +124,110 @@ def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
 def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     """log(e^{-x} I_n(x)) for n = 0 .. n_max.
 
-    Backward (Miller) recurrence from a start order safely past the decay
-    point of I_n(x) in n, carried on the ratios I_n / I_{n+1}, accumulated
-    in the log domain and normalized through the generating identity at
-    y = 1: the scaled values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1.  Stays
-    accurate far past the point where the values themselves underflow.
+    Stays accurate far past the point where the values themselves
+    underflow; see ``_log_bessel_rows`` for the recurrence.
     """
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"argument must be finite and >= 0, got {x}")
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if x == 0.0:
         out = np.full(n_max + 1, -np.inf)
         out[0] = 0.0
         return out
-    start = max(_miller_start_order(x), n_max + 20)
-    q = np.empty(start + 1)
-    q[start] = 2.0 * (start + 1) / x + x / (2.0 * (start + 2))
-    for k in range(start - 1, -1, -1):
-        q[k] = 2.0 * (k + 1) / x + 1.0 / q[k + 1]
-    log_rel = np.concatenate([[0.0], np.cumsum(-np.log(q))])  # log(I_n / I_0)
-    norm = 1.0 + 2.0 * float(np.exp(log_rel[1:]).sum())
-    return (log_rel - math.log(norm))[: n_max + 1]
+    start = max(int(_miller_start_order(x)), n_max + 20)
+    return _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1]
 
 
-def _pn_terms(model: Mm1Model, t: float, n_max: int):
-    """Scaled building blocks for P_n(t), n = 0 .. n_max.
+def _pn_rows(model: Mm1Model, t: np.ndarray, n_max: np.ndarray):
+    """Yield (positions, rows) until every t_j > 0 is done, where row i
+    holds P_n(t_j) for n = 0 .. n_max_j of position j = positions[i]
+    (entries past n_max_j are meaningless).
 
-    Returns (direct, tail) with
+    P_n(t) = direct[n] + (1-rho) rho^n tail[n] with
       direct[n] = e^{-(lam+mu)t} [ r^{-n} I_n(x) + r^{-n+1} I_{n+1}(x) ]
       tail[n]   = e^{-(lam+mu)t} sum_{k >= n+2} r^k I_k(x)
     where x = 2 sqrt(lam mu) t and r = sqrt(mu/lam).  Every product is
     assembled as exp(sum of logs), so huge r^k never meets a tiny scaled
     Bessel value head-on; each summand is <= 1 by the generating identity.
+    The tail is truncated where its topmost summands are negligible; a
+    point that fails that test is run again with a wider margin.
     """
-    lam, mu = model.arrival_rate, model.service_rate
-    x = 2.0 * math.sqrt(lam * mu) * t
-    decay = theoretical_rate(model) * t  # (lam+mu)t - x
+    lam, mu, rho = model.arrival_rate, model.service_rate, model.rho
+    x_all = 2.0 * math.sqrt(lam * mu) * t
+    decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
     log_r = 0.5 * math.log(mu / lam)
-
-    margin = 0
-    while True:
-        n_arr = max(_miller_start_order(x), n_max + 2) + margin
-        log_scaled = log_bessel_i_scaled(n_arr, x)
-        k = np.arange(n_arr + 1)
-        summand = np.exp(-decay + k * log_r + log_scaled)
-        suffix = np.cumsum(summand[::-1])[::-1]
-        # adequate truncation: the topmost summands must be negligible
-        # against every suffix sum they feed (5-term guard)
-        top = float(summand[-5:].sum())
-        if top <= 1e-16 * max(float(suffix[0]), 1e-300):
-            break
-        if n_arr > _PN_TAIL_CAP:
-            raise SeriesTruncationError(
-                f"tail of the state-probability series not converged by "
-                f"order {n_arr}", top)
-        margin = max(2 * margin, n_arr // 2)
-
-    n = np.arange(n_max + 1)
-    direct = (np.exp(-decay - n * log_r + log_scaled[: n_max + 1])
-              + np.exp(-decay - (n - 1) * log_r + log_scaled[1 : n_max + 2]))
-    tail = np.zeros(n_max + 1)
-    avail = min(n_max + 1, len(suffix) - 2)
-    tail[:avail] = suffix[2 : avail + 2]
-    return direct, tail
+    base = np.maximum(_miller_start_order(x_all), n_max + 2)
+    margin = np.zeros(len(t), dtype=np.int64)
+    pending = np.arange(len(t))
+    while pending.size:
+        retry = []
+        for batch in _batches(base[pending] + margin[pending] + 22):
+            idx = pending[batch]
+            n_arr = base[idx] + margin[idx]
+            log_scaled = _log_bessel_rows(x_all[idx], n_arr + 20)
+            minus_decay = -decay_all[idx][:, None]
+            k = np.arange(int(n_arr.max()) + 1)
+            # the summands, then in place their suffix sums
+            tail = minus_decay + k * log_r
+            tail += log_scaled[:, : k.size]
+            with np.errstate(over="ignore"):  # only past a row's own n_arr
+                np.exp(tail, out=tail)
+            tail[k > n_arr[:, None]] = 0.0
+            top = [float(row[n - 4 : n + 1].sum())
+                   for row, n in zip(tail, n_arr.tolist())]
+            np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])
+            ok = np.ones(len(idx), dtype=bool)
+            for i, n in enumerate(n_arr.tolist()):
+                # adequate truncation: the topmost summands must be
+                # negligible against every suffix sum they feed (5-term guard)
+                if top[i] <= 1e-16 * max(float(tail[i, 0]), 1e-300):
+                    continue
+                if n > _PN_TAIL_CAP:
+                    raise SeriesTruncationError(
+                        f"tail of the state-probability series not converged "
+                        f"by order {n}", top[i])
+                ok[i] = False
+                margin[idx[i]] = max(2 * int(margin[idx[i]]), n // 2)
+                retry.append(idx[i])
+            if not ok.any():
+                continue
+            n = np.arange(int(n_max[idx].max()) + 1)
+            probs = minus_decay - n * log_r   # the direct terms, then P_n
+            probs += log_scaled[:, : n.size]
+            np.exp(probs, out=probs)
+            upper = minus_decay - (n - 1) * log_r
+            upper += log_scaled[:, 1 : n.size + 1]
+            del log_scaled
+            probs += np.exp(upper, out=upper)
+            del upper
+            with np.errstate(over="ignore"):
+                geo = rho**n
+            probs += (1.0 - rho) * geo * tail[:, 2 : n.size + 2]
+            del tail
+            yield (idx, probs) if ok.all() else (idx[ok], probs[ok])
+        pending = np.array(retry, dtype=np.int64)
 
 
 def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
     """P_n(t) for n = 0 .. n_max, starting from an empty system."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if t == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    rho = model.rho
-    direct, tail = _pn_terms(model, t, n_max)
-    n = np.arange(n_max + 1)
-    with np.errstate(over="ignore"):
-        geo = rho**n
-    return direct + (1.0 - rho) * geo * tail
+    for _, rows in _pn_rows(model, np.array([float(t)]), np.array([n_max])):
+        return rows[0, : n_max + 1]
 
 
-def _phi_truncation_order(model: Mm1Model, t: float) -> int:
+def _phi_truncation_order(model: Mm1Model, t: np.ndarray) -> np.ndarray:
     lam, rho = model.arrival_rate, model.rho
-    bulk = lam * t + 10.0 * math.sqrt(lam * t + 1.0) + 20.0
+    bulk = lam * t + 10.0 * np.sqrt(lam * t + 1.0) + 20.0
     geometric = 30.0 / (-math.log(rho))
-    return int(math.ceil(bulk + geometric)) + 20
+    return np.ceil(bulk + geometric) + 20
 
 
 def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
@@ -162,35 +239,53 @@ def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
     approaches (1-rho) + rho/(mu(1-rho)), the constant of
     ``phi_asymptotic``.
     """
-    value, p0 = _phi_and_p0(model, t)
-    return value + p0 if paper_literal else value
+    value, p0 = _phi_and_p0(model, np.array([t], dtype=float))
+    return float(value[0] + p0[0]) if paper_literal else float(value[0])
 
 
-def _phi_and_p0(model: Mm1Model, t: float) -> tuple[float, float]:
-    """``phi_exact``'s default value and P_0(t), from one series evaluation;
-    the paper-literal value is their sum."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0, 1.0
+def _phi_and_p0(model: Mm1Model, t: np.ndarray):
+    """``phi_exact``'s default values and P_0 at the times ``t``, from one
+    series evaluation per point; the paper-literal values are their sum.
+
+    The state probabilities are summed up to an order K chosen per point
+    and doubled until the geometric bound on what lies beyond K is small.
+    """
+    bad = ~(np.isfinite(t) & (t >= 0))
+    if bad.any():
+        raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
     mu, rho = model.service_rate, model.rho
-    K = _phi_truncation_order(model, t)
-    while True:
-        if K > _PHI_TERM_CAP:
+    value = np.zeros(len(t))
+    p0 = np.ones(len(t))
+    pending = np.flatnonzero(t > 0)
+    K = np.zeros(len(t))
+    K[pending] = _phi_truncation_order(model, t[pending])
+    while pending.size:
+        over = K[pending] > _PHI_TERM_CAP
+        if over.any():
             raise SeriesTruncationError(
-                f"phi series truncation index exceeded cap {_PHI_TERM_CAP}", K)
-        probs = pn_array(model, t, K)
-        # geometric tail bound: beyond K the probabilities sit below
-        # M rho^k (1-rho); sum_{k>K} k rho^k has a closed form
-        level = rho**K * (1.0 - rho)
-        M = max(1.0, float(probs[K]) / level) if level > 0 else 1.0
-        tail_bound = (M * (1.0 - rho) / mu * rho ** (K + 1)
-                      * ((K + 1) * (1.0 - rho) + rho) / (1.0 - rho) ** 2)
-        if tail_bound < 1e-10:
-            break
-        K *= 2
-    k = np.arange(1, K + 1)
-    return float(np.dot(probs[1:], k / mu)), float(probs[0])
+                f"phi series truncation index exceeded cap {_PHI_TERM_CAP}",
+                float(K[pending][over][0]))
+        orders = K[pending].astype(np.int64)
+        weights = np.arange(1, int(orders.max()) + 1) / mu
+        retry = []
+        for positions, rows in _pn_rows(model, t[pending], orders):
+            for j, probs in zip(pending[positions].tolist(), rows):
+                k = int(K[j])
+                # geometric tail bound: beyond K the probabilities sit below
+                # M rho^k (1-rho); sum_{k>K} k rho^k has a closed form
+                level = rho**k * (1.0 - rho)
+                M = max(1.0, float(probs[k]) / level) if level > 0 else 1.0
+                tail_bound = (M * (1.0 - rho) / mu * rho ** (k + 1)
+                              * ((k + 1) * (1.0 - rho) + rho)
+                              / (1.0 - rho) ** 2)
+                if tail_bound < 1e-10:
+                    value[j] = float(np.dot(probs[1 : k + 1], weights[:k]))
+                    p0[j] = float(probs[0])
+                else:
+                    retry.append(j)
+        pending = np.array(retry, dtype=np.int64)
+        K[pending] *= 2
+    return value, p0
 
 
 def phi_asymptotic(model: Mm1Model, t: float) -> float:
@@ -223,6 +318,5 @@ def phi_curve(model: Mm1Model, grid, paper_literal: bool = False):
     """phi_exact sampled on a TimeGrid, returned as a Curve."""
     from .renewal import Curve
 
-    values = np.array([phi_exact(model, float(t), paper_literal)
-                       for t in grid.times()])
-    return Curve(grid, values)
+    value, p0 = _phi_and_p0(model, grid.times())
+    return Curve(grid, value + p0 if paper_literal else value)

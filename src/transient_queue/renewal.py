@@ -9,6 +9,8 @@ naive right-endpoint placement while keeping the recursion monotone.
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import stat
 import tempfile
@@ -18,6 +20,10 @@ from typing import Optional
 import numpy as np
 
 COARSE_GRID_WARNING = "coarse_grid"
+# points per block of the renewal solve: its history correlations cost about
+# n^2/2 multiply-adds whatever the block size, its in-block convolutions about
+# n * _BLOCK, and its Python loop n / _BLOCK steps
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,9 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"grid step must be > 0, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(
+                f"grid step must be finite and > 0, got {self.step}")
         if self.n_points < 2:
             raise ValueError(f"grid needs >= 2 points, got {self.n_points}")
 
@@ -118,7 +125,11 @@ def _curve_csv_text(curve: Curve) -> str:
 
 
 def read_curve_csv(path) -> Curve:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    with open(path) as fh:
+        text = fh.read()
+    if not text.strip():
+        raise ValueError(f"curve file {path} is empty")
+    data = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
     names = data.dtype.names or ()
     if "t" not in names:
         raise ValueError(f"curve file {path} has no 't' column")
@@ -131,6 +142,11 @@ def read_curve_csv(path) -> Curve:
     stderr = np.atleast_1d(data["stderr"]) if "stderr" in names else None
     if len(t) < 2:
         raise ValueError(f"curve file {path} has fewer than two rows")
+    # the parser reads a non-numeric or empty cell as NaN
+    for column in (t, values) if stderr is None else (t, values, stderr):
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"curve file {path} has a non-numeric, empty "
+                             f"or non-finite cell")
     step = t[1] - t[0]
     if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
         raise ValueError(f"curve file {path} is not on a uniform grid")
@@ -138,6 +154,8 @@ def read_curve_csv(path) -> Curve:
 
 
 def _validate_cdf(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cycle CDF must be finite")
     if abs(values[0]) > 1e-12:
         raise ValueError(f"cycle CDF must have F(0)=0, got {values[0]!r}")
     if np.any(np.diff(values) < -1e-12):
@@ -153,20 +171,34 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     H(t_i) = 1 + sum_j H(t_i - t_j + step/2) * (F(t_j) - F(t_{j-1}))
     with the half-step evaluation realized by averaging neighbouring grid
     values of H; the j=1 increment makes the recursion weakly implicit.
+    Collecting the weight of each H_m gives, for i >= 1,
+      (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
+    c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  That
+    lower-triangular Toeplitz system is solved in blocks of _BLOCK points:
+    the history of earlier blocks is one correlation, and the in-block
+    matrix, the same for every block, is inverted once as a Toeplitz
+    matrix, whose inverse is again lower-triangular Toeplitz.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
     grid = cycle_cdf.grid
     n = grid.n_points
     dF = np.diff(F, prepend=F[0])
+    c = 0.5 * (dF[:-1] + dF[1:])
+    # first column of the in-block inverse: (1 - c_0) v_k = sum_{j=1}^k c_j v_{k-j}
+    v = np.empty(min(_BLOCK, n - 1))
+    v[0] = 1.0 / (1.0 - c[0])
+    for k in range(1, len(v)):
+        v[k] = np.dot(c[1 : k + 1], v[k - 1 :: -1]) * v[0]
     H = np.empty(n)
     H[0] = 1.0
-    pivot = 1.0 - 0.5 * dF[1]
-    for i in range(1, n):
-        past = H[i - 1 :: -1]  # H_{i-1}, ..., H_0
-        s_lo = np.dot(dF[1 : i + 1], past)            # mass at left ends
-        s_hi = np.dot(dF[2 : i + 1], past[: i - 1])   # mass at right ends, j >= 2
-        H[i] = (1.0 + 0.5 * (s_lo + s_hi)) / pivot
+    rhs = 1.0 + 0.5 * dF
+    for a in range(1, n, len(v)):
+        e = min(a + len(v), n)
+        b = rhs[a:e]
+        if a > 1:  # sum_{m=1}^{a-1} c_{i-m} H_m for i = a .. e-1
+            b = b + np.correlate(c[1 : e - 1], H[a - 1 : 0 : -1], "valid")
+        H[a:e] = np.convolve(v[: e - a], b)[: e - a]
 
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied

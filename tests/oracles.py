@@ -99,6 +99,23 @@ def erlang2_renewal(t):
     return 1.0 + t / 2.0 - 0.25 + np.exp(-2.0 * t) / 4.0
 
 
+def renewal_by_recursion(cdf_values) -> np.ndarray:
+    """The discrete renewal equation the library solves, point by point:
+    H_0 = 1 and H_i = 1 + sum_{j=1}^{i} dF_j (H_{i-j} + H_{i-j+1}) / 2,
+    with dF_j = F_j - F_{j-1}; the j = 1 term holds H_i itself, so each
+    step divides by 1 - dF_1 / 2."""
+    F = np.asarray(cdf_values, dtype=float)
+    dF = np.concatenate([[0.0], np.diff(F)])
+    H = np.empty(len(F))
+    H[0] = 1.0
+    for i in range(1, len(F)):
+        lo = H[i - 1 :: -1]   # H_{i-j},     j = 1 .. i
+        hi = H[i - 1 : 0 : -1]  # H_{i-j+1}, j = 2 .. i
+        known = np.dot(dF[1 : i + 1], lo) + np.dot(dF[2 : i + 1], hi)
+        H[i] = (1.0 + 0.5 * known) / (1.0 - 0.5 * dF[1])
+    return H
+
+
 def workload_by_lindley(epochs, services, times) -> np.ndarray:
     """Workload from empty at sorted times, by walking the sorted arrivals:
     a gap drains the workload at unit rate but not below 0, and an arrival

@@ -33,6 +33,12 @@ def test_queue_model_rejects_unstable():
         QueueModel(1.0, Deterministic(1.0))
 
 
+def test_queue_model_rejects_non_finite_rate():
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            QueueModel(lam, Exponential(1.0))
+
+
 def test_busy_lst_examples():
     assert busy_lst(MM1, 0.0) == pytest.approx(1.0, abs=1e-10)
     for s in (0.1, 1.0):

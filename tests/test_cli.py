@@ -97,6 +97,31 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-max", "inf"), ("--t-max", "nan"), ("--step", "nan"),
+    ("--step", "inf"), ("--lambda", "nan"), ("--mu", "inf"),
+])
+def test_mm1_exact_non_finite_number_exits_2_naming_the_flag(
+        tmp_path, capsys, flag, value):
+    argv = {"--lambda": "0.5", "--mu": "1", "--t-max": "2", "--step": "0.5"}
+    argv[flag] = value
+    out = tmp_path / "x.csv"
+    code = main(["mm1-exact", *[a for kv in argv.items() for a in kv],
+                 "-o", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rate_on_empty_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code = main(["fit-rate", "--input", str(path), "--window", "1:2",
+                 "--phi-inf", "1"])
+    assert code == 2
+    assert "empty.csv" in capsys.readouterr().err
+
+
 def test_bad_service_spec_exits_2(tmp_path):
     proc = run_cli("simulate", "--lambda", "0.5", "--service", "weird:a=1",
                    "--t-max", "1", "--step", "0.5", "--reps", "10",

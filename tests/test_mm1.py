@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from transient_queue import mm1
 from transient_queue import (Mm1Model, SeriesTruncationError, TimeGrid,
                              bessel_i_scaled_array, log_bessel_i_scaled,
                              phi_asymptotic, phi_curve, phi_exact, pn_array,
@@ -55,6 +56,17 @@ def test_log_bessel_beyond_underflow():
     expected = (n * math.log(5.0) - math.lgamma(n + 1) - 10.0
                 + math.log1p(25.0 / (n + 1)))
     assert logs[n] == pytest.approx(expected, abs=1e-3)
+
+
+def test_bessel_rows_of_a_batch_are_each_row_run_alone():
+    # each column starts the recurrence at its own order, not at the
+    # batch's highest one, so batching changes no bit of any row
+    x = np.array([1e-3, 0.7, 3.0, 30.0, 500.0])
+    start = mm1._miller_start_order(x) + np.array([5, 0, 60, 0, 0])
+    rows = mm1._log_bessel_rows(x, start)
+    for j, s in enumerate(start):
+        alone = mm1._log_bessel_rows(x[j : j + 1], start[j : j + 1])[0]
+        assert np.array_equal(rows[j, : s + 2], alone)
 
 
 def test_bessel_input_validation():
@@ -152,9 +164,26 @@ def test_phi_curve_matches_pointwise():
         assert curve.values[i] == phi_exact(MM1, float(t))
 
 
+@pytest.mark.parametrize("model, grid", [
+    # t = 0, small and large t in one call: several batches of the series
+    (MM1, TimeGrid(0.75, 281)),
+    # points whose tail needs a wider margin, run again in a later batch
+    (Mm1Model(0.01, 1.0), TimeGrid(50.0, 21)),
+    # points whose truncation order K is doubled
+    (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3)),
+], ids=["mixed", "margin", "doubled-K"])
+def test_phi_curve_matches_pointwise_across_batches(model, grid):
+    for literal in (False, True):
+        curve = phi_curve(model, grid, paper_literal=literal)
+        for i, t in enumerate(grid.times()):
+            assert curve.values[i] == phi_exact(model, float(t), literal)
+
+
 def test_phi_truncation_cap():
     with pytest.raises(SeriesTruncationError):
         phi_exact(MM1, 3.0e5)
+    with pytest.raises(SeriesTruncationError):
+        phi_curve(MM1, TimeGrid(1.0e5, 4))
 
 
 # -------------------------------------------------------------- asymptotic
@@ -207,3 +236,7 @@ def test_model_validation():
         Mm1Model(1.0, 1.0)
     with pytest.raises(ValueError):
         Mm1Model(-0.5, 1.0)
+    # NaN passes every comparison, inf makes rho 0 or NaN
+    for rates in ((float("nan"), 1.0), (0.5, float("nan")), (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Mm1Model(*rates)

@@ -12,7 +12,7 @@ from transient_queue import (Curve, CycleMoments, Erlang, Exponential,
                              renewal_residual, write_curve_csv)
 from transient_queue.renewal import COARSE_GRID_WARNING
 
-from oracles import erlang2_renewal, poisson_renewal
+from oracles import erlang2_renewal, poisson_renewal, renewal_by_recursion
 
 
 def make_grid(step, t_max):
@@ -38,6 +38,9 @@ def erlang_case():
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(step=0.0, n_points=10)
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(step=step, n_points=10)
     with pytest.raises(ValueError):
         TimeGrid(step=0.1, n_points=1)
     grid = TimeGrid(step=0.5, n_points=5)
@@ -92,6 +95,26 @@ def test_renewal_function_validates_cdf():
     bad[5] = 0.1  # dip below the running level
     with pytest.raises(ValueError):
         renewal_function(Curve(grid, bad))
+    bad = np.linspace(0.0, 0.9, grid.n_points)
+    bad[5] = np.nan  # passes every comparison, and H would be NaN
+    with pytest.raises(ValueError, match="finite"):
+        renewal_function(Curve(grid, bad))
+
+
+# first-cell: all mass in (0, step], so dF_1 = 1 and the pivot is 1/2
+CDFS = {"exp": lambda t: Exponential(1.0).cdf(t),
+        "erlang2": lambda t: Erlang(2, 1.0).cdf(t),
+        "first-cell": lambda t: (t > 0).astype(float)}
+
+
+@pytest.mark.parametrize("law", sorted(CDFS))
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 8001])
+def test_renewal_function_matches_pointwise_recursion(law, n):
+    grid = TimeGrid(step=0.01, n_points=n)
+    F = CDFS[law](grid.times())
+    H = renewal_function(Curve(grid, F)).values
+    expected = renewal_by_recursion(F)
+    assert np.all(np.abs(H - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_step_halving_order():
@@ -279,6 +302,17 @@ def test_rewritten_file_keeps_its_mode(tmp_path):
     write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert path.read_text().startswith("t,value")
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "t,value\n0,1\n0.5,abc\n", "t,value\n0,1\n0.5,nan\n",
+    "t,value\n0,1\n0.5,\n", "t,value,stderr\n0,1,0.1\n0.5,2,x\n",
+], ids=["empty", "blank", "text", "nan", "missing", "stderr-text"])
+def test_read_curve_csv_rejects_malformed(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.csv"):
+        read_curve_csv(path)
 
 
 def test_curve_validation():
