@@ -168,6 +168,8 @@ def _cmd_busy_period(args) -> int:
 def _cmd_fit_rate(args) -> int:
     curve = read_curve_csv(args.input)
     if args.phi_inf is not None:
+        if not math.isfinite(args.phi_inf):
+            raise ValidationError(f"--phi-inf must be finite, got {args.phi_inf}")
         phi_inf = args.phi_inf
     elif args.lam is not None and args.service is not None:
         phi_inf = stationary_pk(_make_model(args))

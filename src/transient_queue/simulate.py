@@ -3,9 +3,11 @@
 The workload (virtual waiting time) starts at 0, jumps by the service
 requirement at each Poisson arrival and drains at unit rate.  Every
 estimator reads it off one kernel: the free process X(t) = (work arrived)
-- t minus its running minimum.  Replication streams are derived from
-(base_seed, domain, replication_index) and replications run in fixed-size
-chunks in one thread, so every estimator is bit-reproducible.
+- t minus its running minimum.  Streams are derived from
+(base_seed, domain, index): the index is the chunk for the phi curve, the
+replication for first cycles and 0 for the one stationary path.
+Replications run in fixed-size chunks in one thread, so every estimator is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .renewal import Curve, TimeGrid
 
 _EVENT_CAP = 10_000_000
 _CHUNK = 1024  # partial sums are merged per fixed-size chunk, in chunk order
+_BLOCK_CELLS = 2**15  # grid cells (or arrival slots) per row block of the phi kernel
 
 # stream domains, so estimators never share draws for one base seed
 _DOMAIN_PHI = 1
@@ -110,13 +113,16 @@ def simulate_cycle(model: QueueModel, rng: np.random.Generator) -> CyclePath:
 
 def _free_minimum(epochs: np.ndarray, services: np.ndarray):
     """Work arrived ``cum`` and the running minimum ``low`` of the free
-    process X(t) = cum - t, both indexed by the number of arrivals so far.
+    process X(t) = cum - t, both indexed along the last axis by the number
+    of arrivals so far (one path per row of a 2-D block).
 
     X is lowest just before an arrival, so its pre-arrival values (and
     X(0) = 0) are the only running-minimum candidates besides X(t) itself.
     """
-    cum = np.concatenate(([0.0], np.cumsum(services)))
-    low = np.minimum.accumulate(np.concatenate(([0.0], cum[:-1] - epochs)))
+    zero = np.zeros(services.shape[:-1] + (1,))
+    cum = np.concatenate((zero, np.cumsum(services, axis=-1)), axis=-1)
+    low = np.minimum.accumulate(
+        np.concatenate((zero, cum[..., :-1] - epochs), axis=-1), axis=-1)
     return cum, low
 
 
@@ -141,6 +147,41 @@ def workload_at(path: CyclePath, t: float) -> float:
                                    np.array([t]))[0])
 
 
+def _workload_rows(counts: np.ndarray, epochs: np.ndarray,
+                   services: np.ndarray, times: np.ndarray):
+    """Workload from empty at sorted ``times`` for many paths, yielded as
+    (rows, len(times)) blocks in row order.
+
+    Row r takes the next ``counts[r]`` entries of the flat ``epochs`` (in
+    any order) and ``services``.  Each block is padded with epochs at inf
+    and services of 0, which add nothing.  The drain deadline after an
+    arrival, D = cum - low, never decreases along a row, and W(t) is the
+    largest D of the arrivals at or before t, less t, floored at 0.
+    """
+    n = len(times)
+    ends = np.cumsum(counts)
+    per_block = max(1, _BLOCK_CELLS // max(n, int(counts.max(initial=0))))
+    for lo in range(0, len(counts), per_block):
+        c = counts[lo:lo + per_block]
+        rows = len(c)
+        filled = np.arange(c.max(initial=0)) < c[:, None]
+        first, last = ends[lo] - c[0], ends[lo + rows - 1]
+        e = np.full(filled.shape, np.inf)
+        s = np.zeros(filled.shape)
+        e[filled] = epochs[first:last]
+        s[filled] = services[first:last]
+        e.sort(axis=1)
+        cum, low = _free_minimum(e, s)
+        # each D goes to the first grid point at or after its arrival;
+        # padding and arrivals past the grid land in the spare column n
+        cell = np.searchsorted(times, e) + (n + 1) * np.arange(rows)[:, None]
+        deadline = np.zeros(rows * (n + 1))
+        np.maximum.at(deadline, cell.ravel(), (cum - low)[:, 1:].ravel())
+        deadline = np.maximum.accumulate(
+            deadline.reshape(rows, n + 1)[:, :n], axis=1)
+        yield np.maximum(deadline - times, 0.0)
+
+
 def _map_chunks(worker, n_items: int):
     """Apply ``worker`` to fixed-size index chunks, in chunk order."""
     return [worker(lo, min(lo + _CHUNK, n_items))
@@ -161,8 +202,10 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
 
     Each replication simulates the workload path on [0, horizon] from an
     empty system and records W at every grid point; the returned curve is
-    the pointwise mean with its standard error.  Replications run in one
-    thread; ``threads`` is accepted for compatibility and never changes
+    the pointwise mean with its standard error.  Each chunk of replications
+    draws from one stream, indexed by the chunk: the Poisson arrival counts
+    of its rows, then all epochs, then all services.  Replications run in
+    one thread; ``threads`` is accepted for compatibility and never changes
     the output.
     """
     times = cfg.grid.times()
@@ -171,16 +214,16 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
     n = cfg.grid.n_points
 
     def worker(lo: int, hi: int):
+        rng = _stream(cfg.base_seed, _DOMAIN_PHI, lo // _CHUNK)
+        counts = rng.poisson(lam * horizon, hi - lo)
+        total = int(counts.sum())
+        epochs = rng.uniform(0.0, horizon, total)
+        services = np.asarray(model.service.sample(rng, total), dtype=float)
         s1 = np.zeros(n)
         s2 = np.zeros(n)
-        for rep in range(lo, hi):
-            rng = _stream(cfg.base_seed, _DOMAIN_PHI, rep)
-            count = rng.poisson(lam * horizon)
-            epochs = np.sort(rng.uniform(0.0, horizon, count))
-            services = np.asarray(model.service.sample(rng, count), dtype=float)
-            w = _workload_on_grid(epochs, services, times)
-            s1 += w
-            s2 += w * w
+        for w in _workload_rows(counts, epochs, services, times):
+            s1 += w.sum(axis=0)
+            s2 += (w * w).sum(axis=0)
         return s1, s2
 
     total = np.zeros(n)
@@ -262,21 +305,43 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
     )
 
 
-def _cycle_area(path: CyclePath) -> float:
-    cum, low = _free_minimum(path.epochs, path.services)
-    after = cum[1:] - path.epochs - low[1:]  # workload just after each arrival
-    gaps = np.diff(path.epochs)
-    area = float(np.dot(after[:-1], gaps) - 0.5 * np.dot(gaps, gaps))
-    return area + 0.5 * float(after[-1]) ** 2
+def _cycles(gaps: np.ndarray, services: np.ndarray, horizon: float):
+    """Areas under the workload and lengths of the regeneration cycles of
+    one path from empty, up to the first cycle that ends at or after
+    ``horizon``; None if the arrivals run out before that cycle ends.
+
+    ``gaps[j]`` is the time from arrival j - 1 (from 0 for j = 0) to
+    arrival j.  Arrival j closes a cycle when the next gap outlasts the
+    workload it leaves; the rest of that gap idles into the next cycle.
+    """
+    epochs = np.cumsum(gaps)
+    cum, low = _free_minimum(epochs, services)
+    after = cum[1:] - epochs - low[1:]  # workload just after each arrival
+    closing = np.flatnonzero(gaps[1:] >= after[:-1])
+    ends = epochs[closing] + after[closing]
+    k = int(np.searchsorted(ends, horizon))
+    if k == len(ends):
+        open_events = len(gaps) - (closing[-1] + 1 if k else 0)
+        if open_events > _EVENT_CAP:
+            raise CycleTruncationError(
+                f"cycle exceeded {_EVENT_CAP} events ({open_events} so far)")
+        return None
+    m = closing[k] + 1
+    g = np.minimum(gaps[1:m + 1], after[:m])  # time each workload drains
+    area = after[:m] * g - 0.5 * g * g
+    starts = np.concatenate(([0], closing[:k] + 1))
+    return np.add.reduceat(area, starts), np.diff(ends[:k + 1], prepend=0.0)
 
 
 def estimate_stationary(model: QueueModel, horizon: float,
                         seed: int) -> tuple[float, float]:
     """Long-run time average of the workload with a regenerative stderr.
 
-    Simulates whole cycles until their total length covers ``horizon``;
-    the ratio estimator sum(area)/sum(length) comes with the classical
-    cycle-based standard error.
+    Simulates one path from empty, cut into cycles, until their total
+    length covers ``horizon``; the ratio estimator sum(area)/sum(length)
+    comes with the classical cycle-based standard error.  Gaps and
+    services are drawn in bulk from one stream, in blocks of doubling size
+    until the path reaches that point.
     """
     cm = cycle_moments(model)
     if horizon < 1000.0 * cm.cycle_mean:
@@ -284,16 +349,18 @@ def estimate_stationary(model: QueueModel, horizon: float,
             f"horizon {horizon:g} too short: need >= 1000 cycle means "
             f"({1000.0 * cm.cycle_mean:g})")
     rng = _stream(seed, _DOMAIN_STATIONARY, 0)
-    areas = []
-    lengths = []
-    elapsed = 0.0
-    while elapsed < horizon:
-        path = simulate_cycle(model, rng)
-        areas.append(_cycle_area(path))
-        lengths.append(path.cycle_length)
-        elapsed += path.cycle_length
-    areas = np.asarray(areas)
-    lengths = np.asarray(lengths)
+    size = int(1.2 * model.arrival_rate * horizon) + 64
+    gaps = np.empty(0)
+    services = np.empty(0)
+    cycles = None
+    while cycles is None:
+        gaps = np.concatenate(
+            (gaps, rng.exponential(1.0 / model.arrival_rate, size)))
+        services = np.concatenate(
+            (services, np.asarray(model.service.sample(rng, size), dtype=float)))
+        cycles = _cycles(gaps, services, horizon)
+        size *= 2
+    areas, lengths = cycles
     n = len(areas)
     mean = areas.sum() / lengths.sum()
     centered = areas - mean * lengths

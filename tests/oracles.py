@@ -133,6 +133,34 @@ def workload_by_lindley(epochs, services, times) -> np.ndarray:
     return out
 
 
+def cycles_by_lindley(gaps, services, horizon):
+    """Areas under the workload and lengths of the regeneration cycles of a
+    path from empty, by walking the arrivals one at a time: a gap that
+    outlasts the workload w closes the cycle (its last piece of area is
+    w^2/2), a shorter one drains w by the gap.  Stops at the first cycle
+    that ends at or after horizon; None if the arrivals run out first."""
+    areas = []
+    lengths = []
+    start = 0.0
+    epoch = gaps[0]
+    w = services[0]
+    area = 0.0
+    for gap, s in zip(gaps[1:], services[1:]):
+        if gap >= w:
+            end = epoch + w
+            areas.append(area + 0.5 * w * w)
+            lengths.append(end - start)
+            if end >= horizon:
+                return np.array(areas), np.array(lengths)
+            start, area, w = end, 0.0, 0.0
+        else:
+            area += w * gap - 0.5 * gap * gap
+            w -= gap
+        epoch += gap
+        w += s
+    return None
+
+
 def phi_by_cycle_concatenation(model: QueueModel, cfg: McConfig) -> Curve:
     """Mean workload estimated by walking explicit regeneration cycles.
 

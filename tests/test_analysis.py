@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transient_queue import mm1
 from transient_queue import (EXP_WITH_SQRT_T, EXP_WITH_T32_CORRECTED,
                              PURE_EXPONENTIAL, Curve,
                              Deterministic, Exponential, McConfig, Mm1Model,
@@ -175,6 +176,23 @@ def test_fit_respects_noise_floor():
     assert fit.rate == pytest.approx(0.3, abs=1e-6)
 
 
+@pytest.mark.parametrize("phi_inf", [math.inf, -math.inf, math.nan])
+def test_fit_rejects_non_finite_phi_inf(phi_inf):
+    with pytest.raises(ValueError, match="phi_inf"):
+        fit_decay_rate(synthetic_curve(0.3), phi_inf, (1.0, 18.0),
+                       PURE_EXPONENTIAL)
+
+
+def test_fit_rejects_nan_rate():
+    # an infinite value in the window makes the least-squares rate NaN,
+    # which "rate <= 0" let through
+    g = grid(0.1, 20.0)
+    vals = 2.0 + np.exp(-0.3 * g.times())
+    vals[50] = math.inf
+    with np.errstate(invalid="ignore"), pytest.raises(UnfitError, match="decay"):
+        fit_decay_rate(Curve(g, vals), 2.0, (1.0, 18.0), PURE_EXPONENTIAL)
+
+
 def test_fit_window_validation():
     curve = synthetic_curve(0.3)
     with pytest.raises(ValueError):
@@ -208,12 +226,22 @@ def test_compare_methods_mm1(mm1_report):
     assert report["verdict"]["mc_within_3stderr_95pct"]
     assert set(report["curves"]) == {"exact_series", "simulation", "renewal"}
     assert report["fit"]["theoretical_rate"] == pytest.approx(0.0857864, abs=1e-6)
+    assert report["fit"]["rel_err"] <= 0.05
     assert report["renewal_warnings"] == []
 
 
 def test_compare_methods_reports_coarse_grid():
     report = compare_methods(MM1, McConfig(2_000, 3, grid(0.5, 10.0)))
     assert report["renewal_warnings"] == ["coarse_grid"]
+
+
+def test_compare_methods_reports_a_fit_the_series_cannot_reach(monkeypatch):
+    # the compare grid (t <= 10) stays under the series cap; the fit's own
+    # curve out to 7/s* = 82 does not
+    monkeypatch.setattr(mm1, "_PHI_TERM_CAP", 150)
+    report = compare_methods(MM1, McConfig(2_000, 3, grid(0.5, 10.0)))
+    assert "cap" in report["fit"]["error"]
+    assert report["methods"] == ["exact_series", "simulation", "renewal"]
 
 
 def test_compare_methods_md1():

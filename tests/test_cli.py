@@ -122,6 +122,19 @@ def test_fit_rate_on_empty_file_exits_2(tmp_path, capsys):
     assert "empty.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_fit_rate_non_finite_phi_inf_exits_2(tmp_path, capsys, value):
+    curve_path = tmp_path / "exact.csv"
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "100",
+                 "--step", "0.2", "-o", str(curve_path)]) == 0
+    code = main(["fit-rate", "--input", str(curve_path), "--window", "40:100",
+                 "--phi-inf", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--phi-inf" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_service_spec_exits_2(tmp_path):
     proc = run_cli("simulate", "--lambda", "0.5", "--service", "weird:a=1",
                    "--t-max", "1", "--step", "0.5", "--reps", "10",

@@ -43,11 +43,30 @@ def oracle_imports_from(module_name):
     return shared
 
 
+# the workload kernel, the phi block reader and the stationary cycle cutter
+KERNELS = {"_free_minimum", "_workload_on_grid", "workload_at",
+           "_workload_rows", "_cycles"}
+
+
+def oracle_names():
+    """Every name tests/oracles.py imports, reads as an attribute or
+    spells as a whole string (as getattr would take it)."""
+    for node in ast.walk(ast.parse(ORACLES.read_text(), filename=str(ORACLES))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 def test_oracles_share_only_sampling_and_seeding():
-    # an oracle reading W through workload_at or _workload_on_grid would
-    # check the workload kernel with itself; one built on the Bessel series
+    # an oracle reading W or the cycles through a kernel of the package
+    # would check that kernel with itself; one built on the Bessel series
     # or the renewal solve would check those with themselves
     assert oracle_imports_from("transient_queue.simulate") <= {
         "McConfig", "simulate_cycle", "_stream", "_DOMAIN_PHI"}
+    assert KERNELS.isdisjoint(oracle_names())
     assert oracle_imports_from("transient_queue.mm1") == set()
     assert oracle_imports_from("transient_queue.renewal") <= {"Curve", "TimeGrid"}

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transient_queue import (CyclePath, Deterministic, Exponential, McConfig,
-                             Mm1Model, QueueModel, TimeGrid, busy_cramer_abscissa,
+from transient_queue import (CyclePath, CycleTruncationError, Deterministic,
+                             Exponential, HyperExponential, McConfig, Mm1Model,
+                             QueueModel, TimeGrid, busy_cramer_abscissa,
                              busy_mean, cycle_moments, estimate_phi,
                              estimate_stationary, first_cycle_study, phi_exact,
                              simulate_cycle, stationary_pk, workload_at)
-from transient_queue.simulate import (_DOMAIN_FIRST_CYCLE, _DOMAIN_PHI, _stream,
-                                      _workload_on_grid)
+from transient_queue import simulate
+from transient_queue.simulate import (_BLOCK_CELLS, _DOMAIN_FIRST_CYCLE,
+                                      _DOMAIN_PHI, _DOMAIN_STATIONARY, _cycles,
+                                      _stream, _workload_on_grid, _workload_rows)
 
-from oracles import phi_by_cycle_concatenation, workload_by_lindley
+from oracles import (cycles_by_lindley, phi_by_cycle_concatenation,
+                     workload_by_lindley)
 
 MM1 = QueueModel(0.5, Exponential(1.0))
 MD1 = QueueModel(0.5, Deterministic(1.0))
@@ -136,6 +140,37 @@ def test_kernel_matches_lindley_walk(arrivals):
                                rtol=0.0, atol=1e-12)
 
 
+PHI_TIMES = TimeGrid(step=0.05, n_points=801).times()  # 40 rows per block
+ON_GRID = st.integers(0, 800).map(lambda i: float(PHI_TIMES[i]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(st.one_of(ON_GRID, st.floats(0.0, 40.0)),
+                                        st.floats(0.01, 3.0)),
+                              max_size=30),
+                     min_size=1, max_size=100))
+@example(rows=[[(float(PHI_TIMES[(37 * r + 5 * j) % 801]), 0.5 + j)
+                for j in range(r % 4)] for r in range(100)])
+def test_workload_rows_match_lindley_walk(rows):
+    # (epoch, service) pairs per row, rows of 0-30 arrivals, some epochs
+    # exactly on grid points; up to 100 rows span several blocks
+    rows = [sorted(row) for row in rows]
+    counts = np.array([len(row) for row in rows])
+    flat = [pair for row in rows for pair in row]
+    epochs = np.array([e for e, _ in flat], dtype=float)
+    services = np.array([s for _, s in flat], dtype=float)
+    blocks = list(_workload_rows(counts, epochs, services, PHI_TIMES))
+    per_block = _BLOCK_CELLS // len(PHI_TIMES)
+    assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+    w = np.vstack(blocks)
+    assert w.shape == (len(rows), len(PHI_TIMES))
+    for r, row in enumerate(rows):
+        e = np.array([a for a, _ in row], dtype=float)
+        s = np.array([b for _, b in row], dtype=float)
+        np.testing.assert_allclose(w[r], workload_by_lindley(e, s, PHI_TIMES),
+                                   rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------- estimate_phi
 
 def test_estimate_phi_at_zero():
@@ -239,6 +274,87 @@ def test_stationary_light_load():
     assert target == pytest.approx(0.01 / (2 * 0.99) * 2)
     mean, se = estimate_stationary(model, 120_000.0, seed=77)
     assert abs(mean - target) <= 3 * se
+
+
+def test_cycles_handcrafted_path():
+    gaps = np.array([1.0, 0.5, 4.0, 2.0, 10.0])
+    services = np.array([2.0, 1.0, 0.5, 0.5, 1.0])
+    # busy from 1 to 4 (area 0.875 + 3.125), then from 5.5 to 6, 7.5 to 8
+    areas, lengths = _cycles(gaps, services, 6.0)
+    assert areas.tolist() == [4.0, 0.125]
+    assert lengths.tolist() == [4.0, 2.0]
+    areas, lengths = _cycles(gaps, services, 7.0)
+    assert areas.tolist() == [4.0, 0.125, 0.125]
+    assert lengths.tolist() == [4.0, 2.0, 2.0]
+    # the last arrival's next gap is not drawn: its cycle may not have ended
+    assert _cycles(gaps, services, 8.5) is None
+    # a gap exactly as long as the workload closes the cycle
+    areas, lengths = _cycles(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 0.0)
+    assert areas.tolist() == [2.0]
+    assert lengths.tolist() == [3.0]
+
+
+EIGHTHS = st.integers(0, 40).map(lambda k: k / 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(EIGHTHS, EIGHTHS.filter(lambda v: v > 0)),
+                      min_size=1, max_size=60),
+       cut=st.floats(0.0, 1.0))
+def test_cycles_match_lindley_cycles(pairs, cut):
+    # multiples of 1/8 keep every sum exact, so ties between a gap and the
+    # workload break the same way in both
+    gaps, services = np.array(pairs).T
+    horizon = cut * (gaps.sum() + services.sum())
+    got = _cycles(gaps, services, horizon)
+    want = cycles_by_lindley(gaps, services, horizon)
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0)
+
+
+def test_cycles_match_lindley_cycles_on_a_long_path():
+    rng = np.random.default_rng(3)
+    gaps = rng.exponential(2.0, 500)
+    services = rng.gamma(2.0, 0.8, 500)
+    horizon = 0.8 * gaps.sum()
+    areas, lengths = _cycles(gaps, services, horizon)
+    want_areas, want_lengths = cycles_by_lindley(gaps, services, horizon)
+    assert len(areas) > 100
+    np.testing.assert_allclose(areas, want_areas, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(lengths, want_lengths, rtol=1e-9, atol=0.0)
+
+
+def test_cycles_event_cap(monkeypatch):
+    monkeypatch.setattr(simulate, "_EVENT_CAP", 5)
+    gaps = np.full(20, 0.01)
+    with pytest.raises(CycleTruncationError):
+        _cycles(gaps, np.ones(20), 1.0)
+    # four events in an open cycle are below the cap
+    assert _cycles(gaps[:4], np.ones(4), 1.0) is None
+
+
+def test_stationary_extends_the_draws():
+    # a rare long service makes the cycle at the horizon outrun the first
+    # block of draws, so the stream is read on for a second, twice as long
+    model = QueueModel(0.8, HyperExponential((0.99, 0.01), (100.0, 0.0125)))
+    horizon = 1000.0 * cycle_moments(model).cycle_mean
+    size = int(1.2 * model.arrival_rate * horizon) + 64
+    rng = _stream(4, _DOMAIN_STATIONARY, 0)
+    gaps = rng.exponential(1.0 / model.arrival_rate, size)
+    services = model.service.sample(rng, size)
+    assert cycles_by_lindley(gaps, services, horizon) is None
+    gaps = np.concatenate((gaps, rng.exponential(1.0 / model.arrival_rate, 2 * size)))
+    services = np.concatenate((services, model.service.sample(rng, 2 * size)))
+    areas, lengths = cycles_by_lindley(gaps, services, horizon)
+    ratio = areas.sum() / lengths.sum()
+    centered = areas - ratio * lengths
+    se = (math.sqrt(np.dot(centered, centered) / (len(areas) - 1))
+          / (lengths.mean() * math.sqrt(len(areas))))
+    mean, stderr = estimate_stationary(model, horizon, seed=4)
+    assert mean == pytest.approx(ratio, rel=1e-9)
+    assert stderr == pytest.approx(se, rel=1e-9)
 
 
 def test_stationary_horizon_guard():
