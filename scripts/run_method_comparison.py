@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--step", type=float, default=0.1)
     ap.add_argument("--reps", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=20240613)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="comparison_out")
     args = ap.parse_args()
 
@@ -32,7 +31,7 @@ def main() -> int:
     cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
     print(f"comparing methods: lambda={args.lam} service={args.service} "
           f"reps={args.reps} seed={args.seed}")
-    report = compare_methods(model, cfg, threads=args.threads)
+    report = compare_methods(model, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
     curves = report.pop("curves")

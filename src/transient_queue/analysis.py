@@ -110,8 +110,7 @@ def _default_fit_window(t_max: float) -> tuple:
     return (0.25 * t_max, 0.9 * t_max)
 
 
-def compare_methods(model: QueueModel, cfg: McConfig,
-                    threads: int = 1) -> dict:
+def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
     """Run every applicable method on one grid and cross-compare.
 
     Methods: exact series (M/M/1 only), renewal-equation pipeline (q and
@@ -135,8 +134,8 @@ def compare_methods(model: QueueModel, cfg: McConfig,
         exact_model = mm1.Mm1Model(model.arrival_rate, model.service.rate)
         exact = mm1.phi_curve(exact_model, grid)
 
-    sim_curve = estimate_phi(model, cfg, threads=threads)
-    study = first_cycle_study(model, cfg, threads=threads)
+    sim_curve = estimate_phi(model, cfg)
+    study = first_cycle_study(model, cfg)
     renew = renewal_function(study.cycle_cdf)
     renewal_curve = phi_via_renewal(study.q, renew)
 

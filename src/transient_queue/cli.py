@@ -193,7 +193,7 @@ def _cmd_compare(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
     cfg = _make_config(args, grid)
-    report = compare_methods(model, cfg, threads=args.threads)
+    report = compare_methods(model, cfg)
     report.pop("curves")
     atomic_write(args.output, _json_text(report))
     return 0

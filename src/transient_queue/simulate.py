@@ -4,8 +4,8 @@ The workload (virtual waiting time) starts at 0, jumps by the service
 requirement at each Poisson arrival and drains at unit rate.  Every
 estimator reads it off one kernel: the free process X(t) = (work arrived)
 - t minus its running minimum.  Streams are derived from
-(base_seed, domain, index): the index is the chunk for the phi curve, the
-replication for first cycles and 0 for the one stationary path.
+(base_seed, domain, index): the index is the chunk of replications for the
+phi curve and for first cycles, and 0 for the one stationary path.
 Replications run in fixed-size chunks in one thread, so every estimator is
 bit-reproducible.
 """
@@ -23,6 +23,7 @@ from .renewal import Curve, TimeGrid
 _EVENT_CAP = 10_000_000
 _CHUNK = 1024  # partial sums are merged per fixed-size chunk, in chunk order
 _BLOCK_CELLS = 2**15  # grid cells (or arrival slots) per row block of the phi kernel
+_PATH_BLOCK = 2**16  # most draws per block of one path: about 2.6 MB at the peak
 
 # stream domains, so estimators never share draws for one base seed
 _DOMAIN_PHI = 1
@@ -61,24 +62,10 @@ class McConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
-def _seed_words(*values: int) -> np.ndarray:
-    """The uint32 entropy SeedSequence derives from a list of ints: each
-    value split into little-endian 32-bit words (one word for 0), in order.
-    Handing it over as an array skips SeedSequence's per-int conversion."""
-    words = []
-    for value in values:
-        if value < 0:
-            raise ValueError(f"seed values must be >= 0, got {value}")
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
-
-
 def _stream(base_seed: int, domain: int, index: int) -> np.random.Generator:
     """The generator of ``SeedSequence([base_seed, domain, index])``."""
     return np.random.default_rng(
-        np.random.SeedSequence(_seed_words(base_seed, domain, index)))
+        np.random.SeedSequence([base_seed, domain, index]))
 
 
 def simulate_cycle(model: QueueModel, rng: np.random.Generator) -> CyclePath:
@@ -119,21 +106,13 @@ def _free_minimum(epochs: np.ndarray, services: np.ndarray):
     X is lowest just before an arrival, so its pre-arrival values (and
     X(0) = 0) are the only running-minimum candidates besides X(t) itself.
     """
-    zero = np.zeros(services.shape[:-1] + (1,))
-    cum = np.concatenate((zero, np.cumsum(services, axis=-1)), axis=-1)
-    low = np.minimum.accumulate(
-        np.concatenate((zero, cum[..., :-1] - epochs), axis=-1), axis=-1)
+    shape = services.shape[:-1] + (services.shape[-1] + 1,)
+    cum = np.zeros(shape)
+    np.cumsum(services, axis=-1, out=cum[..., 1:])
+    low = np.zeros(shape)
+    np.subtract(cum[..., :-1], epochs, out=low[..., 1:])
+    np.minimum.accumulate(low, axis=-1, out=low)
     return cum, low
-
-
-def _workload_on_grid(epochs: np.ndarray, services: np.ndarray,
-                      times: np.ndarray) -> np.ndarray:
-    """Workload from empty at sorted ``times``, for arrivals at sorted
-    ``epochs``: W(t) = X(t) - min(0, min_{s <= t} X(s))."""
-    cum, low = _free_minimum(epochs, services)
-    idx = np.searchsorted(epochs, times, side="right")
-    x = cum[idx] - times
-    return x - np.minimum(low[idx], x)
 
 
 def workload_at(path: CyclePath, t: float) -> float:
@@ -143,8 +122,9 @@ def workload_at(path: CyclePath, t: float) -> float:
         raise ValueError(f"t must be >= 0, got {t}")
     if t >= path.cycle_length:
         return 0.0
-    return float(_workload_on_grid(path.epochs, path.services,
-                                   np.array([t]))[0])
+    rows = _workload_rows(np.array([len(path.epochs)]), path.epochs,
+                          path.services, np.array([t]))
+    return float(next(rows)[0, 0])
 
 
 def _workload_rows(counts: np.ndarray, epochs: np.ndarray,
@@ -182,10 +162,73 @@ def _workload_rows(counts: np.ndarray, epochs: np.ndarray,
         yield np.maximum(deadline - times, 0.0)
 
 
-def _map_chunks(worker, n_items: int):
-    """Apply ``worker`` to fixed-size index chunks, in chunk order."""
-    return [worker(lo, min(lo + _CHUNK, n_items))
-            for lo in range(0, n_items, _CHUNK)]
+def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
+                  keep: float):
+    """Regeneration cycles of one path from empty, drawn from ``rng`` in
+    blocks of ``size`` (at most ``_PATH_BLOCK``) gaps, then as many
+    services.  Yields, per block that closes a cycle, (counts, epochs,
+    services, lengths, areas): per closed cycle its arrivals within
+    ``keep`` of its start (their number, and their epochs from the start
+    and services, flat) and its length and area under the workload.
+
+    Arrival j closes a cycle when the next gap outlasts the workload
+    after_j it leaves; the rest of that gap idles into the next cycle, so
+    successive cycles are i.i.d. first cycles.  A block starts at the last
+    arrival of the one before, carried as an arrival at time 0 with that
+    workload as its service; of the open cycle only its start, area so far
+    and kept arrivals are carried, so a block peaks at about 5 floats per
+    draw however long the cycle.
+    """
+    head = np.empty((2, 0))  # gap and service of the carried arrival
+    # the open cycle: its kept epochs and services, its start (in block
+    # time), its area before time 0 and its arrivals so far
+    kept, start, area, events = np.empty((2, 0)), 0.0, 0.0, 0
+    size = min(size, _PATH_BLOCK)
+    while True:
+        h = head.shape[1]
+        gaps = np.concatenate(
+            (head[0], rng.exponential(1.0 / model.arrival_rate, size)))
+        services = np.concatenate(
+            (head[1], np.asarray(model.service.sample(rng, size), dtype=float)))
+        n = len(gaps)
+        epochs = np.cumsum(gaps)
+        after, low = _free_minimum(epochs, services)
+        after = after[1:]  # workload just after each arrival, in place
+        after -= epochs
+        after -= low[1:]
+        closing = np.flatnonzero(gaps[1:] >= after[:-1])
+        m = closing[-1] + 1 if len(closing) else 0  # arrivals in closed cycles
+        events = (events - h if m == 0 else 0) + n - m
+        if events > _EVENT_CAP:
+            raise CycleTruncationError(
+                f"cycle exceeded {_EVENT_CAP} events ({events} so far)")
+        # each arrival but the last adds after * g - g^2 / 2 of area, with
+        # g = min(gap, after) the time its workload drains (g in place of
+        # the gaps, g^2 / 2 in place of the minima)
+        g = np.minimum(gaps[1:], after[:-1], out=gaps[1:])
+        half_sq = np.multiply(0.5, g, out=low[:n - 1])
+        half_sq *= g
+        g *= after[:-1]
+        g -= half_sq
+        g[:1] += area  # the open cycle's area before time 0
+        firsts = np.concatenate(([0], closing[:-1] + 1))
+        areas = np.add.reduceat(g[:m], firsts) if m else None
+        begins = np.concatenate(([start], epochs[closing] + after[closing]))
+        head = np.array([[0.0], [after[-1]]])
+        start, area = begins[-1] - epochs[-1], g[m:].sum()
+        del gaps, after, low, g, half_sq
+        epochs -= np.repeat(begins, np.diff(closing, prepend=-1, append=n - 1))
+        within = epochs <= keep
+        within[:h] = False  # the carried arrival is kept already
+        split = kept.shape[1] + int(within[:m].sum())
+        kept = np.concatenate((kept, [epochs[within], services[within]]), axis=1)
+        del epochs, services
+        if m:
+            counts = np.add.reduceat(within[:m], firsts, dtype=np.int64)
+            counts[0] += split - counts.sum()
+            block = (counts, *kept[:, :split], np.diff(begins), areas)
+            kept = kept[:, split:]
+            yield block
 
 
 def _mean_se(s1: np.ndarray, s2: np.ndarray, reps: int):
@@ -210,25 +253,21 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
     """
     times = cfg.grid.times()
     horizon = cfg.grid.horizon
-    lam = model.arrival_rate
     n = cfg.grid.n_points
-
-    def worker(lo: int, hi: int):
+    total = np.zeros(n)
+    total_sq = np.zeros(n)
+    for lo in range(0, cfg.replications, _CHUNK):
         rng = _stream(cfg.base_seed, _DOMAIN_PHI, lo // _CHUNK)
-        counts = rng.poisson(lam * horizon, hi - lo)
-        total = int(counts.sum())
-        epochs = rng.uniform(0.0, horizon, total)
-        services = np.asarray(model.service.sample(rng, total), dtype=float)
-        s1 = np.zeros(n)
+        counts = rng.poisson(model.arrival_rate * horizon,
+                             min(_CHUNK, cfg.replications - lo))
+        arrivals = int(counts.sum())
+        epochs = rng.uniform(0.0, horizon, arrivals)
+        services = np.asarray(model.service.sample(rng, arrivals), dtype=float)
+        s1 = np.zeros(n)  # summed per chunk, then merged in chunk order
         s2 = np.zeros(n)
         for w in _workload_rows(counts, epochs, services, times):
             s1 += w.sum(axis=0)
             s2 += (w * w).sum(axis=0)
-        return s1, s2
-
-    total = np.zeros(n)
-    total_sq = np.zeros(n)
-    for s1, s2 in _map_chunks(worker, cfg.replications):
         total += s1
         total_sq += s2
     mean, stderr = _mean_se(total, total_sq, cfg.replications)
@@ -249,99 +288,61 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
                       threads: int = 1) -> FirstCycleStats:
     """Estimate q, the cycle-length excess, and the empirical cycle CDF.
 
-    One first cycle per replication, exactly matching the definition of
-    q(t) as the pre-regeneration contribution to the mean workload.
-    Replications run in one thread; ``threads`` is accepted for
-    compatibility and never changes the output.
+    Each chunk of replications takes the first cycles of one path, drawn
+    from one stream indexed by the chunk (see ``_cycle_blocks``): they are
+    i.i.d. first cycles, exactly matching the definition of q(t) as the
+    pre-regeneration contribution to the mean workload.  Replications run
+    in one thread; ``threads`` is accepted for compatibility and never
+    changes the output.
     """
     times = cfg.grid.times()
     n = cfg.grid.n_points
-    step = cfg.grid.step
-
-    def worker(lo: int, hi: int):
-        q1 = np.zeros(n)
-        q2 = np.zeros(n)
-        e1 = np.zeros(n)
-        e2 = np.zeros(n)
-        lengths = np.empty(hi - lo)
-        for rep in range(lo, hi):
-            rng = _stream(cfg.base_seed, _DOMAIN_FIRST_CYCLE, rep)
-            path = simulate_cycle(model, rng)
-            zeta = path.cycle_length
-            lengths[rep - lo] = zeta
-            # grid points from m on lie at or above zeta (rounding is
-            # monotone), where the workload and (zeta - t)+ are exactly 0
-            m = min(n, int(math.floor(zeta / step)) + 1)
-            w = _workload_on_grid(path.epochs, path.services, times[:m])
-            q1[:m] += w
-            q2[:m] += w * w
-            exc = np.maximum(zeta - times[:m], 0.0)
-            e1[:m] += exc
-            e2[:m] += exc * exc
-        return q1, q2, e1, e2, lengths
-
     q1 = np.zeros(n)
     q2 = np.zeros(n)
-    e1 = np.zeros(n)
-    e2 = np.zeros(n)
     lengths = []
-    for p_q1, p_q2, p_e1, p_e2, p_len in _map_chunks(worker, cfg.replications):
-        q1 += p_q1
-        q2 += p_q2
-        e1 += p_e1
-        e2 += p_e2
-        lengths.append(p_len)
+    for lo in range(0, cfg.replications, _CHUNK):
+        rng = _stream(cfg.base_seed, _DOMAIN_FIRST_CYCLE, lo // _CHUNK)
+        need = min(_CHUNK, cfg.replications - lo)
+        size = int(1.2 * need / (1.0 - model.rho)) + 64
+        # arrivals past the grid leave W on it unchanged
+        for counts, epochs, services, block_lengths, _ in _cycle_blocks(
+                model, rng, size, times[-1]):
+            for w in _workload_rows(counts[:need], epochs, services, times):
+                q1 += w.sum(axis=0)
+                q2 += (w * w).sum(axis=0)
+            lengths.append(block_lengths[:need])
+            need -= len(lengths[-1])
+            if need == 0:
+                break
     lengths = np.concatenate(lengths)
     reps = cfg.replications
     q_mean, q_se = _mean_se(q1, q2, reps)
-    e_mean, e_se = _mean_se(e1, e2, reps)
-    sorted_lengths = np.sort(lengths)
-    cdf = np.searchsorted(sorted_lengths, times, side="right") / reps
+    ordered = np.sort(lengths)
+    above = np.searchsorted(ordered, times, side="right")
+    # (zeta - t)+ and its square summed over the cycles longer than t
+    s1, s2 = (np.append(np.cumsum(x[::-1])[::-1], 0.0)[above]
+              for x in (ordered, ordered**2))
+    longer = reps - above
+    e_mean, e_se = _mean_se(
+        np.maximum(s1 - times * longer, 0.0),
+        np.maximum(s2 - 2.0 * times * s1 + times**2 * longer, 0.0), reps)
     return FirstCycleStats(
         q=Curve(cfg.grid, q_mean, stderr=q_se),
         excess=Curve(cfg.grid, e_mean, stderr=e_se),
-        cycle_cdf=Curve(cfg.grid, cdf),
+        cycle_cdf=Curve(cfg.grid, above / reps),
         cycle_lengths=lengths,
     )
-
-
-def _cycles(gaps: np.ndarray, services: np.ndarray, horizon: float):
-    """Areas under the workload and lengths of the regeneration cycles of
-    one path from empty, up to the first cycle that ends at or after
-    ``horizon``; None if the arrivals run out before that cycle ends.
-
-    ``gaps[j]`` is the time from arrival j - 1 (from 0 for j = 0) to
-    arrival j.  Arrival j closes a cycle when the next gap outlasts the
-    workload it leaves; the rest of that gap idles into the next cycle.
-    """
-    epochs = np.cumsum(gaps)
-    cum, low = _free_minimum(epochs, services)
-    after = cum[1:] - epochs - low[1:]  # workload just after each arrival
-    closing = np.flatnonzero(gaps[1:] >= after[:-1])
-    ends = epochs[closing] + after[closing]
-    k = int(np.searchsorted(ends, horizon))
-    if k == len(ends):
-        open_events = len(gaps) - (closing[-1] + 1 if k else 0)
-        if open_events > _EVENT_CAP:
-            raise CycleTruncationError(
-                f"cycle exceeded {_EVENT_CAP} events ({open_events} so far)")
-        return None
-    m = closing[k] + 1
-    g = np.minimum(gaps[1:m + 1], after[:m])  # time each workload drains
-    area = after[:m] * g - 0.5 * g * g
-    starts = np.concatenate(([0], closing[:k] + 1))
-    return np.add.reduceat(area, starts), np.diff(ends[:k + 1], prepend=0.0)
 
 
 def estimate_stationary(model: QueueModel, horizon: float,
                         seed: int) -> tuple[float, float]:
     """Long-run time average of the workload with a regenerative stderr.
 
-    Simulates one path from empty, cut into cycles, until their total
-    length covers ``horizon``; the ratio estimator sum(area)/sum(length)
-    comes with the classical cycle-based standard error.  Gaps and
-    services are drawn in bulk from one stream, in blocks of doubling size
-    until the path reaches that point.
+    Simulates one path from empty, cut into cycles, up to the first cycle
+    that ends at or after ``horizon``; the ratio estimator
+    sum(area)/sum(length) comes with the classical cycle-based standard
+    error.  The path is drawn from one stream in bounded blocks (see
+    ``_cycle_blocks``) of about 1.2 * arrival_rate * horizon arrivals.
     """
     cm = cycle_moments(model)
     if horizon < 1000.0 * cm.cycle_mean:
@@ -350,17 +351,17 @@ def estimate_stationary(model: QueueModel, horizon: float,
             f"({1000.0 * cm.cycle_mean:g})")
     rng = _stream(seed, _DOMAIN_STATIONARY, 0)
     size = int(1.2 * model.arrival_rate * horizon) + 64
-    gaps = np.empty(0)
-    services = np.empty(0)
-    cycles = None
-    while cycles is None:
-        gaps = np.concatenate(
-            (gaps, rng.exponential(1.0 / model.arrival_rate, size)))
-        services = np.concatenate(
-            (services, np.asarray(model.service.sample(rng, size), dtype=float)))
-        cycles = _cycles(gaps, services, horizon)
-        size *= 2
-    areas, lengths = cycles
+    areas, lengths, elapsed = [], [], 0.0
+    for *_, block_lengths, block_areas in _cycle_blocks(model, rng, size,
+                                                        -math.inf):
+        ends = elapsed + np.cumsum(block_lengths)
+        k = int(np.searchsorted(ends, horizon)) + 1
+        areas.append(block_areas[:k])
+        lengths.append(block_lengths[:k])
+        if k <= len(ends):
+            break
+        elapsed = ends[-1]
+    areas, lengths = np.concatenate(areas), np.concatenate(lengths)
     n = len(areas)
     mean = areas.sum() / lengths.sum()
     centered = areas - mean * lengths

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from transient_queue import Curve, McConfig, QueueModel, simulate_cycle
-from transient_queue.simulate import _stream, _DOMAIN_PHI
+from transient_queue.simulate import _stream, _DOMAIN_FIRST_CYCLE, _DOMAIN_PHI
 
 
 def bessel_series_scaled(n: int, x: float) -> float:
@@ -133,12 +133,13 @@ def workload_by_lindley(epochs, services, times) -> np.ndarray:
     return out
 
 
-def cycles_by_lindley(gaps, services, horizon):
+def cycles_by_lindley(gaps, services):
     """Areas under the workload and lengths of the regeneration cycles of a
     path from empty, by walking the arrivals one at a time: a gap that
     outlasts the workload w closes the cycle (its last piece of area is
-    w^2/2), a shorter one drains w by the gap.  Stops at the first cycle
-    that ends at or after horizon; None if the arrivals run out first."""
+    w^2/2), a shorter one drains w by the gap.  Returns every cycle the
+    arrivals close; the last arrival's cycle stays open, its next gap
+    unknown."""
     areas = []
     lengths = []
     start = 0.0
@@ -150,15 +151,13 @@ def cycles_by_lindley(gaps, services, horizon):
             end = epoch + w
             areas.append(area + 0.5 * w * w)
             lengths.append(end - start)
-            if end >= horizon:
-                return np.array(areas), np.array(lengths)
             start, area, w = end, 0.0, 0.0
         else:
             area += w * gap - 0.5 * gap * gap
             w -= gap
         epoch += gap
         w += s
-    return None
+    return np.array(areas), np.array(lengths)
 
 
 def phi_by_cycle_concatenation(model: QueueModel, cfg: McConfig) -> Curve:
@@ -189,3 +188,32 @@ def phi_by_cycle_concatenation(model: QueueModel, cfg: McConfig) -> Curve:
     mean = s1 / cfg.replications
     var = np.maximum(s2 - cfg.replications * mean**2, 0.0) / max(cfg.replications - 1, 1)
     return Curve(cfg.grid, mean, stderr=np.sqrt(var / cfg.replications))
+
+
+def _mean_curve(grid, rows) -> Curve:
+    """Column means of ``rows`` with their standard errors."""
+    return Curve(grid, rows.mean(axis=0),
+                 stderr=rows.std(axis=0, ddof=1) / math.sqrt(len(rows)))
+
+
+def first_cycles_by_simulate_cycle(model: QueueModel, cfg: McConfig):
+    """q, the cycle-length excess and the cycle CDF from first cycles
+    simulated one at a time, as three curves.
+
+    Independent of the block cycle cutter in first_cycle_study: each
+    replication draws one cycle event by event with simulate_cycle from its
+    own stream (in a domain of its own, so draws never coincide), and W is
+    read off its arrivals by a Lindley walk.
+    """
+    times = cfg.grid.times()
+    w = np.empty((cfg.replications, len(times)))
+    lengths = np.empty(cfg.replications)
+    for rep in range(cfg.replications):
+        path = simulate_cycle(
+            model, _stream(cfg.base_seed, _DOMAIN_FIRST_CYCLE + 1000, rep))
+        w[rep] = workload_by_lindley(path.epochs, path.services, times)
+        lengths[rep] = path.cycle_length
+    excess = np.maximum(lengths[:, None] - times, 0.0)
+    cdf = np.mean(lengths[:, None] <= times, axis=0)
+    return (_mean_curve(cfg.grid, w), _mean_curve(cfg.grid, excess),
+            Curve(cfg.grid, cdf))

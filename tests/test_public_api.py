@@ -43,9 +43,8 @@ def oracle_imports_from(module_name):
     return shared
 
 
-# the workload kernel, the phi block reader and the stationary cycle cutter
-KERNELS = {"_free_minimum", "_workload_on_grid", "workload_at",
-           "_workload_rows", "_cycles"}
+# the workload kernel, the block reader of W and the cycle cutter
+KERNELS = {"_free_minimum", "workload_at", "_workload_rows", "_cycle_blocks"}
 
 
 def oracle_names():
@@ -66,7 +65,8 @@ def test_oracles_share_only_sampling_and_seeding():
     # would check that kernel with itself; one built on the Bessel series
     # or the renewal solve would check those with themselves
     assert oracle_imports_from("transient_queue.simulate") <= {
-        "McConfig", "simulate_cycle", "_stream", "_DOMAIN_PHI"}
+        "McConfig", "simulate_cycle", "_stream", "_DOMAIN_PHI",
+        "_DOMAIN_FIRST_CYCLE"}
     assert KERNELS.isdisjoint(oracle_names())
     assert oracle_imports_from("transient_queue.mm1") == set()
     assert oracle_imports_from("transient_queue.renewal") <= {"Curve", "TimeGrid"}

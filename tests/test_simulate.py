@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from transient_queue import (CyclePath, CycleTruncationError, Deterministic,
                              estimate_stationary, first_cycle_study, phi_exact,
                              simulate_cycle, stationary_pk, workload_at)
 from transient_queue import simulate
-from transient_queue.simulate import (_BLOCK_CELLS, _DOMAIN_FIRST_CYCLE,
-                                      _DOMAIN_PHI, _DOMAIN_STATIONARY, _cycles,
-                                      _stream, _workload_on_grid, _workload_rows)
+from transient_queue.simulate import (_BLOCK_CELLS, _DOMAIN_PHI,
+                                      _DOMAIN_STATIONARY, _cycle_blocks,
+                                      _stream, _workload_rows)
 
-from oracles import (cycles_by_lindley, phi_by_cycle_concatenation,
-                     workload_by_lindley)
+from oracles import (cycles_by_lindley, first_cycles_by_simulate_cycle,
+                     phi_by_cycle_concatenation, workload_by_lindley)
 
 MM1 = QueueModel(0.5, Exponential(1.0))
 MD1 = QueueModel(0.5, Deterministic(1.0))
@@ -29,6 +30,46 @@ def grid(step, t_max):
 
 def reconstruct_workload(path, times):
     return np.array([workload_at(path, float(t)) for t in times])
+
+
+def one_row(epochs, services, times):
+    """W at ``times`` of one path, read through the block kernel."""
+    return next(_workload_rows(np.array([len(epochs)]), epochs, services, times))[0]
+
+
+class ReplayExhausted(Exception):
+    pass
+
+
+class Replay:
+    """Stands in for the generator of ``_cycle_blocks`` on an M/M/1 model,
+    whose gaps and services both come from ``exponential``: hands out the
+    given gaps and services in turn, in the sizes asked for, and raises
+    ReplayExhausted once either runs out."""
+
+    def __init__(self, gaps, services):
+        self.draws = (np.asarray(gaps, dtype=float),
+                      np.asarray(services, dtype=float))
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        which = len(self.sizes) % 2
+        lo = sum(self.sizes[which::2])
+        self.sizes.append(size)
+        if lo + size > len(self.draws[which]):
+            raise ReplayExhausted
+        return self.draws[which][lo:lo + size]
+
+
+def cut(gaps, services, size, keep=math.inf):
+    """(counts, epochs, services, lengths, areas) of every cycle that
+    ``_cycle_blocks`` closes on the given draws, in blocks of ``size``."""
+    blocks = []
+    with pytest.raises(ReplayExhausted):
+        for block in _cycle_blocks(MM1, Replay(gaps, services), size, keep):
+            blocks.append(block)
+    empty = ([],) * 5  # so that no closed cycle gives five empty arrays
+    return [np.concatenate(part) for part in zip(empty, *blocks)]
 
 
 # ---------------------------------------------------------------- cycles
@@ -115,13 +156,13 @@ def test_kernel_handcrafted_path_with_two_busy_periods():
     epochs = np.array([1.0, 1.5, 6.0])
     services = np.array([2.0, 1.0, 0.5])
     times = np.array([1.0, 1.5, 4.0, 5.0, 6.0, 6.25, 7.0])
-    w = _workload_on_grid(epochs, services, times)
+    w = one_row(epochs, services, times)
     assert w == pytest.approx([2.0, 2.5, 0.0, 0.0, 0.5, 0.25, 0.0], abs=1e-15)
 
 
 def test_kernel_empty_path_is_zero():
     times = np.linspace(0.0, 5.0, 11)
-    w = _workload_on_grid(np.empty(0), np.empty(0), times)
+    w = one_row(np.empty(0), np.empty(0), times)
     assert np.array_equal(w, np.zeros(11))
 
 
@@ -135,7 +176,7 @@ def test_kernel_matches_lindley_walk(arrivals):
     epochs = np.cumsum(gaps)
     end = gaps.sum() + services.sum() + 1.0
     times = np.sort(np.concatenate((np.linspace(0.0, end, 97), epochs)))
-    np.testing.assert_allclose(_workload_on_grid(epochs, services, times),
+    np.testing.assert_allclose(one_row(epochs, services, times),
                                workload_by_lindley(epochs, services, times),
                                rtol=0.0, atol=1e-12)
 
@@ -279,17 +320,23 @@ def test_stationary_light_load():
 def test_cycles_handcrafted_path():
     gaps = np.array([1.0, 0.5, 4.0, 2.0, 10.0])
     services = np.array([2.0, 1.0, 0.5, 0.5, 1.0])
-    # busy from 1 to 4 (area 0.875 + 3.125), then from 5.5 to 6, 7.5 to 8
-    areas, lengths = _cycles(gaps, services, 6.0)
-    assert areas.tolist() == [4.0, 0.125]
-    assert lengths.tolist() == [4.0, 2.0]
-    areas, lengths = _cycles(gaps, services, 7.0)
-    assert areas.tolist() == [4.0, 0.125, 0.125]
+    # busy from 1 to 4 (area 0.875 + 3.125), then from 5.5 to 6, 7.5 to 8;
+    # the last arrival's next gap is not drawn: its cycle stays open
+    counts, epochs, served, lengths, areas = cut(gaps, services, 5)
+    assert counts.tolist() == [2, 1, 1]
+    assert epochs.tolist() == [1.0, 1.5, 1.5, 1.5]
+    assert served.tolist() == [2.0, 1.0, 0.5, 0.5]
     assert lengths.tolist() == [4.0, 2.0, 2.0]
-    # the last arrival's next gap is not drawn: its cycle may not have ended
-    assert _cycles(gaps, services, 8.5) is None
+    assert areas.tolist() == [4.0, 0.125, 0.125]
+    # in blocks of one arrival each cycle spans blocks; keep=1.0 leaves
+    # only the arrivals within 1 of their cycle start
+    counts, epochs, _, lengths, areas = cut(gaps, services, 1, keep=1.0)
+    assert counts.tolist() == [1, 0, 0]
+    assert epochs.tolist() == [1.0]
+    assert lengths.tolist() == [4.0, 2.0, 2.0]
+    assert areas.tolist() == [4.0, 0.125, 0.125]
     # a gap exactly as long as the workload closes the cycle
-    areas, lengths = _cycles(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 0.0)
+    _, _, _, lengths, areas = cut([1.0, 2.0], [2.0, 1.0], 2)
     assert areas.tolist() == [2.0]
     assert lengths.tolist() == [3.0]
 
@@ -300,54 +347,83 @@ EIGHTHS = st.integers(0, 40).map(lambda k: k / 8)
 @settings(max_examples=80, deadline=None)
 @given(pairs=st.lists(st.tuples(EIGHTHS, EIGHTHS.filter(lambda v: v > 0)),
                       min_size=1, max_size=60),
-       cut=st.floats(0.0, 1.0))
-def test_cycles_match_lindley_cycles(pairs, cut):
+       size=st.integers(1, 60))
+def test_cycles_match_lindley_cycles(pairs, size):
     # multiples of 1/8 keep every sum exact, so ties between a gap and the
     # workload break the same way in both
     gaps, services = np.array(pairs).T
-    horizon = cut * (gaps.sum() + services.sum())
-    got = _cycles(gaps, services, horizon)
-    want = cycles_by_lindley(gaps, services, horizon)
-    assert (got is None) == (want is None)
-    if want is not None:
-        np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0)
+    used = len(gaps) // size * size
+    got = cut(gaps, services, size)
+    want = cycles_by_lindley(gaps[:used], services[:used]) if used else ([], [])
+    np.testing.assert_allclose(got[4], want[0], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(got[3], want[1], rtol=1e-9, atol=0.0)
 
 
 def test_cycles_match_lindley_cycles_on_a_long_path():
     rng = np.random.default_rng(3)
     gaps = rng.exponential(2.0, 500)
     services = rng.gamma(2.0, 0.8, 500)
-    horizon = 0.8 * gaps.sum()
-    areas, lengths = _cycles(gaps, services, horizon)
-    want_areas, want_lengths = cycles_by_lindley(gaps, services, horizon)
+    _, _, _, lengths, areas = cut(gaps, services, 100)
+    want_areas, want_lengths = cycles_by_lindley(gaps, services)
     assert len(areas) > 100
     np.testing.assert_allclose(areas, want_areas, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(lengths, want_lengths, rtol=1e-9, atol=0.0)
 
 
+def test_cycle_blocks_carry_the_open_cycle():
+    # blocks of 8 arrivals at rho = 0.9: most block boundaries fall inside a
+    # cycle, and long cycles span several blocks (the path stays short
+    # enough for the walk's absolute times to keep 1e-12)
+    rng = np.random.default_rng(2718)
+    gaps = rng.exponential(1.0 / 0.9, 1600)
+    services = rng.exponential(1.0, 1600)
+    times = np.linspace(0.0, 30.0, 121)
+    counts, epochs, served, lengths, areas = cut(gaps, services, 8, times[-1])
+    want_areas, want_lengths = cycles_by_lindley(gaps, services)
+    assert max(lengths) > 10 * 8 / 0.9 and len(lengths) > 100
+    np.testing.assert_allclose(areas, want_areas, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(lengths, want_lengths, rtol=1e-12, atol=1e-12)
+    # W of each cycle from its kept arrivals against a walk over the whole
+    # path, on the grid inside the cycle; 0 from the cycle end on
+    abs_epochs = np.cumsum(gaps)
+    begins = np.concatenate(([0.0], np.cumsum(want_lengths)[:-1]))
+    rows = np.vstack(list(_workload_rows(counts.astype(int), epochs, served,
+                                         times)))
+    for row, begin, length in zip(rows, begins, want_lengths):
+        inside = times < length
+        want = workload_by_lindley(abs_epochs, services, begin + times[inside])
+        np.testing.assert_allclose(row[inside], want, rtol=0.0, atol=1e-12)
+        assert np.all(row[~inside] == 0.0)
+
+
 def test_cycles_event_cap(monkeypatch):
     monkeypatch.setattr(simulate, "_EVENT_CAP", 5)
-    gaps = np.full(20, 0.01)
+    rng = Replay(np.full(20, 0.01), np.ones(20))
     with pytest.raises(CycleTruncationError):
-        _cycles(gaps, np.ones(20), 1.0)
-    # four events in an open cycle are below the cap
-    assert _cycles(gaps[:4], np.ones(4), 1.0) is None
+        next(_cycle_blocks(MM1, rng, 4, math.inf))
+    # the four events of the first block are below the cap, the eight
+    # after the second are not
+    assert rng.sizes == [4, 4, 4, 4]
 
 
 def test_stationary_extends_the_draws():
     # a rare long service makes the cycle at the horizon outrun the first
-    # block of draws, so the stream is read on for a second, twice as long
+    # block of draws, so the stream is read on for a second block that
+    # carries the open cycle
     model = QueueModel(0.8, HyperExponential((0.99, 0.01), (100.0, 0.0125)))
     horizon = 1000.0 * cycle_moments(model).cycle_mean
     size = int(1.2 * model.arrival_rate * horizon) + 64
     rng = _stream(4, _DOMAIN_STATIONARY, 0)
     gaps = rng.exponential(1.0 / model.arrival_rate, size)
     services = model.service.sample(rng, size)
-    assert cycles_by_lindley(gaps, services, horizon) is None
-    gaps = np.concatenate((gaps, rng.exponential(1.0 / model.arrival_rate, 2 * size)))
-    services = np.concatenate((services, model.service.sample(rng, 2 * size)))
-    areas, lengths = cycles_by_lindley(gaps, services, horizon)
+    _, lengths = cycles_by_lindley(gaps, services)
+    assert lengths.sum() < horizon
+    gaps = np.concatenate((gaps, rng.exponential(1.0 / model.arrival_rate, size)))
+    services = np.concatenate((services, model.service.sample(rng, size)))
+    areas, lengths = cycles_by_lindley(gaps, services)
+    k = int(np.searchsorted(np.cumsum(lengths), horizon)) + 1
+    assert k <= len(lengths)
+    areas, lengths = areas[:k], lengths[:k]
     ratio = areas.sum() / lengths.sum()
     centered = areas - ratio * lengths
     se = (math.sqrt(np.dot(centered, centered) / (len(areas) - 1))
@@ -415,23 +491,44 @@ def test_stream_rejects_negative_seed():
         _stream(1, _DOMAIN_PHI, -1)
 
 
-@pytest.mark.parametrize("model", [MM1, MD1], ids=["mm1", "md1"])
-def test_excess_equals_full_grid_sum(model):
-    # the study adds (zeta - t)+ only below each cycle's end; the sum over
-    # the whole grid must come out the same, bit for bit (one chunk of
-    # replications, so the reference sums in the study's order)
-    cfg = McConfig(1000, 99, grid(0.1, 12.0))
-    study = first_cycle_study(model, cfg)
-    times = cfg.grid.times()
-    e1 = np.zeros(cfg.grid.n_points)
-    e2 = np.zeros(cfg.grid.n_points)
-    for rep in range(cfg.replications):
-        path = simulate_cycle(model, _stream(99, _DOMAIN_FIRST_CYCLE, rep))
-        assert path.cycle_length == study.cycle_lengths[rep]
-        exc = np.maximum(path.cycle_length - times, 0.0)
-        e1 += exc
-        e2 += exc * exc
-    mean = e1 / cfg.replications
-    var = np.maximum(e2 - cfg.replications * mean**2, 0.0) / (cfg.replications - 1)
-    assert np.array_equal(study.excess.values, mean)
-    assert np.array_equal(study.excess.stderr, np.sqrt(var / cfg.replications))
+def test_first_cycle_study_vs_simulate_cycle_oracle():
+    # same law from one cycle per stream, simulated event by event
+    cfg = McConfig(8_000, 6160, grid(0.5, 12.0))
+    study = first_cycle_study(MM1, cfg)
+    q, excess, cdf = first_cycles_by_simulate_cycle(MM1, cfg)
+    reps = cfg.replications
+    pairs = (
+        (study.q.values, study.q.stderr, q.values, q.stderr),
+        (study.excess.values, study.excess.stderr, excess.values, excess.stderr),
+        (study.cycle_cdf.values,
+         np.sqrt(study.cycle_cdf.values * (1 - study.cycle_cdf.values) / reps),
+         cdf.values, np.sqrt(cdf.values * (1 - cdf.values) / reps)),
+    )
+    for fast, fast_se, slow, slow_se in pairs:
+        se = np.hypot(fast_se, slow_se)
+        assert np.array_equal(fast[se == 0], slow[se == 0])
+        z = np.abs(fast - slow)[se > 0] / se[se > 0]
+        assert z.max() <= 4.0
+        assert np.mean(z <= 3.0) >= 0.9
+
+
+def test_heavy_traffic_memory_stays_bounded():
+    # at rho = 0.999 a cycle averages 1000 time units and its length has a
+    # heavy tail; neither estimator may hold a whole path in memory
+    model = QueueModel(0.999, Exponential(1.0))
+    tracemalloc.start()
+    try:
+        mean, se = estimate_stationary(
+            model, 1000.0 * cycle_moments(model).cycle_mean, seed=11)
+        stationary_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        study = first_cycle_study(model, McConfig(1024, 11, grid(2.0, 100.0)))
+        study_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(mean) and math.isfinite(se) and se > 0
+    for curve in (study.q, study.excess, study.cycle_cdf):
+        assert np.all(np.isfinite(curve.values))
+    assert np.all(np.isfinite(study.cycle_lengths))
+    assert stationary_peak < 64 * 2**20
+    assert study_peak < 64 * 2**20
