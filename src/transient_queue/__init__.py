@@ -23,6 +23,6 @@ from .renewal import (Curve, TimeGrid, asymptote_remainder, phi_via_renewal,
                       renewal_residual, write_curve_csv)
 from .simulate import (CyclePath, CycleTruncationError, FirstCycleStats,
                        McConfig, estimate_phi, estimate_stationary,
-                       first_cycle_study, simulate_cycle, workload_at)
+                       first_cycle_study, simulate_cycle)
 
 __version__ = "0.1.0"

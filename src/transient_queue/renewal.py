@@ -111,17 +111,14 @@ def write_curve_csv(curve: Curve, path) -> None:
 
 
 def _curve_csv_text(curve: Curve) -> str:
-    t = curve.times()
-    lines = []
-    if curve.stderr is None:
-        lines.append("t,value")
-        for ti, vi in zip(t, curve.values):
-            lines.append(f"{ti:.17g},{vi:.17g}")
-    else:
-        lines.append("t,value,stderr")
-        for ti, vi, si in zip(t, curve.values, curve.stderr):
-            lines.append(f"{ti:.17g},{vi:.17g},{si:.17g}")
-    return "\n".join(lines) + "\n"
+    columns = [curve.times(), curve.values]
+    if curve.stderr is not None:
+        columns.append(curve.stderr)
+    header = "t,value" if curve.stderr is None else "t,value,stderr"
+    rows = ",".join(["%.17g"] * len(columns)) + "\n"
+    # one format over Python floats, which print as numpy scalars do
+    cells = np.column_stack(columns).ravel().tolist()
+    return header + "\n" + (rows * len(curve.values)) % tuple(cells)
 
 
 def read_curve_csv(path) -> Curve:

@@ -3,11 +3,13 @@
 The workload (virtual waiting time) starts at 0, jumps by the service
 requirement at each Poisson arrival and drains at unit rate.  Every
 estimator reads it off one kernel: the free process X(t) = (work arrived)
-- t minus its running minimum.  Streams are derived from
-(base_seed, domain, index): the index is the chunk of replications for the
-phi curve and for first cycles, and 0 for the one stationary path.
-Replications run in fixed-size chunks in one thread, so every estimator is
-bit-reproducible.
+- t minus its running minimum.  The phi curve and q add W and W^2 over
+paths on the grid from each arrival's run of grid points, so their cost
+grows with arrivals plus grid points, not paths times grid points.
+Streams are derived from (base_seed, domain, index): the index is the
+chunk of replications for the phi curve and for first cycles, and 0 for
+the one stationary path.  Replications run in fixed-size chunks in one
+thread, so every estimator is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .renewal import Curve, TimeGrid
 
 _EVENT_CAP = 10_000_000
 _CHUNK = 1024  # partial sums are merged per fixed-size chunk, in chunk order
-_BLOCK_CELLS = 2**15  # grid cells (or arrival slots) per row block of the phi kernel
+_BLOCK_SLOTS = 2**13  # arrival slots per row block of the workload kernel
+_WINDOW = 32  # grid points per window of the workload kernel's sums
 _PATH_BLOCK = 2**16  # most draws per block of one path: about 2.6 MB at the peak
 
 # stream domains, so estimators never share draws for one base seed
@@ -115,51 +118,92 @@ def _free_minimum(epochs: np.ndarray, services: np.ndarray):
     return cum, low
 
 
-def workload_at(path: CyclePath, t: float) -> float:
-    """Workload W(t) inside the cycle (0 before the first arrival and
-    from the cycle end onward)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t >= path.cycle_length:
-        return 0.0
-    rows = _workload_rows(np.array([len(path.epochs)]), path.epochs,
-                          path.services, np.array([t]))
-    return float(next(rows)[0, 0])
+def _cells(points: np.ndarray, step: float, x: np.ndarray) -> np.ndarray:
+    """Index of the first grid point at or after each x, as
+    ``np.searchsorted`` finds it in ``points`` (the grid's times, then
+    inf): ceil(x / step), off by at most one, is moved onto it."""
+    k = np.clip(np.ceil(x / step), 0, len(points) - 1).astype(np.intp)
+    k += points[k] < x
+    k -= (k > 0) & (points[k - 1] >= x)
+    return k
 
 
-def _workload_rows(counts: np.ndarray, epochs: np.ndarray,
-                   services: np.ndarray, times: np.ndarray):
-    """Workload from empty at sorted ``times`` for many paths, yielded as
-    (rows, len(times)) blocks in row order.
+def _workload_sums(counts: np.ndarray, epochs: np.ndarray,
+                   services: np.ndarray, grid: TimeGrid, sort: bool = False):
+    """Sums over rows of the workload W and of W^2 from empty on the grid,
+    for many paths: two arrays of ``grid.n_points``.
 
-    Row r takes the next ``counts[r]`` entries of the flat ``epochs`` (in
-    any order) and ``services``.  Each block is padded with epochs at inf
-    and services of 0, which add nothing.  The drain deadline after an
-    arrival, D = cum - low, never decreases along a row, and W(t) is the
-    largest D of the arrivals at or before t, less t, floored at 0.
+    Row r takes the next ``counts[r]`` entries of the flat ``epochs``
+    (sorted within the row, or sorted here if ``sort``; its services stay
+    in the order given) and ``services``.  Along a row the drain deadline
+    D = cum - low never decreases, so arrival j covers the grid points
+    from the first at or after its epoch up to, not including, the first
+    at or after the next epoch or D_j, whichever comes first; there
+    W = D_j - t, and W = 0 where no arrival covers t.  Difference arrays
+    of 1, D and D^2 over those cells, summed by cumsum, give sum W =
+    c1 - t c0 and sum W^2 = c2 - 2 t c1 + t^2 c0, both exactly 0 where
+    c0 = 0.  The sums restart every ``_WINDOW`` grid points, with D and t
+    taken from the window's first point, so rounding stays at the scale
+    of W, not of t.  Rows go through ``_free_minimum`` in blocks of at
+    most ``_BLOCK_SLOTS`` arrival slots, padded with epochs at inf and
+    services of 0; only real arrivals are placed on the grid.
     """
+    times = grid.times()
     n = len(times)
+    points = np.append(times, np.inf)
+    windows = -(-n // _WINDOW)
+    origin = times[::_WINDOW]
+    # window w's cells are w * (_WINDOW + 1) + (0 .. _WINDOW); the spare
+    # last one takes the ends of segments cut at the window's end
+    size = windows * (_WINDOW + 1)
+    # per cell, the change in covering arrivals and in their D and D^2
+    # from the window origin
+    steps = np.zeros((3, size))
     ends = np.cumsum(counts)
-    per_block = max(1, _BLOCK_CELLS // max(n, int(counts.max(initial=0))))
+    per_block = max(1, _BLOCK_SLOTS // max(1, int(counts.max(initial=0))))
     for lo in range(0, len(counts), per_block):
         c = counts[lo:lo + per_block]
-        rows = len(c)
         filled = np.arange(c.max(initial=0)) < c[:, None]
-        first, last = ends[lo] - c[0], ends[lo + rows - 1]
+        first, last = ends[lo] - c[0], ends[lo + len(c) - 1]
         e = np.full(filled.shape, np.inf)
         s = np.zeros(filled.shape)
         e[filled] = epochs[first:last]
         s[filled] = services[first:last]
-        e.sort(axis=1)
+        if sort:
+            e.sort(axis=1)
         cum, low = _free_minimum(e, s)
-        # each D goes to the first grid point at or after its arrival;
-        # padding and arrivals past the grid land in the spare column n
-        cell = np.searchsorted(times, e) + (n + 1) * np.arange(rows)[:, None]
-        deadline = np.zeros(rows * (n + 1))
-        np.maximum.at(deadline, cell.ravel(), (cum - low)[:, 1:].ravel())
-        deadline = np.maximum.accumulate(
-            deadline.reshape(rows, n + 1)[:, :n], axis=1)
-        yield np.maximum(deadline - times, 0.0)
+        cum -= low
+        deadline = cum[:, 1:][filled]
+        start = _cells(points, grid.step, e[filled])
+        # a row's next epoch bounds the cells of its arrival; the last
+        # arrival of a row is bounded by its deadline alone
+        stop = np.empty_like(start)
+        stop[:-1] = start[1:]
+        stop[np.cumsum(c[c > 0]) - 1] = n
+        np.minimum(stop, _cells(points, grid.step, deadline), out=stop)
+        live = stop > start
+        start, stop, deadline = start[live], stop[live], deadline[live]
+        # cut each segment into one piece per window it meets
+        window = start // _WINDOW
+        pieces = (stop - 1) // _WINDOW - window + 1
+        seg = np.repeat(np.arange(len(start)), pieces)
+        window = window[seg] + np.arange(len(seg)) - np.repeat(
+            np.cumsum(pieces) - pieces, pieces)
+        start = np.maximum(start[seg], window * _WINDOW) + window
+        stop = np.minimum(stop[seg], window * _WINDOW + _WINDOW) + window
+        deadline = deadline[seg] - origin[window]
+        for change, weight in zip(steps, (None, deadline, deadline**2)):
+            change += np.bincount(start, weight, minlength=size)
+            change -= np.bincount(stop, weight, minlength=size)
+    c0, c1, c2 = np.cumsum(steps.reshape(3, windows, -1), axis=2)[
+        :, :, :-1].reshape(3, -1)[:, :n]
+    t = times - np.repeat(origin, _WINDOW)[:n]
+    s1 = c1 - t * c0
+    s2 = np.maximum(c2 - t * (2.0 * c1 - t * c0), 0.0)
+    uncovered = c0 == 0
+    s1[uncovered] = 0.0
+    s2[uncovered] = 0.0
+    return s1, s2
 
 
 def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
@@ -244,14 +288,14 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
     """Monte-Carlo mean workload curve over independent replications.
 
     Each replication simulates the workload path on [0, horizon] from an
-    empty system and records W at every grid point; the returned curve is
+    empty system; per chunk, W and W^2 are summed over its replications at
+    every grid point (see ``_workload_sums``), and the returned curve is
     the pointwise mean with its standard error.  Each chunk of replications
     draws from one stream, indexed by the chunk: the Poisson arrival counts
     of its rows, then all epochs, then all services.  Replications run in
     one thread; ``threads`` is accepted for compatibility and never changes
     the output.
     """
-    times = cfg.grid.times()
     horizon = cfg.grid.horizon
     n = cfg.grid.n_points
     total = np.zeros(n)
@@ -263,12 +307,9 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
         arrivals = int(counts.sum())
         epochs = rng.uniform(0.0, horizon, arrivals)
         services = np.asarray(model.service.sample(rng, arrivals), dtype=float)
-        s1 = np.zeros(n)  # summed per chunk, then merged in chunk order
-        s2 = np.zeros(n)
-        for w in _workload_rows(counts, epochs, services, times):
-            s1 += w.sum(axis=0)
-            s2 += (w * w).sum(axis=0)
-        total += s1
+        s1, s2 = _workload_sums(counts, epochs, services, cfg.grid,
+                                sort=True)
+        total += s1  # summed per chunk, then merged in chunk order
         total_sq += s2
     mean, stderr = _mean_se(total, total_sq, cfg.replications)
     return Curve(cfg.grid, mean, stderr=stderr)
@@ -307,9 +348,10 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
         # arrivals past the grid leave W on it unchanged
         for counts, epochs, services, block_lengths, _ in _cycle_blocks(
                 model, rng, size, times[-1]):
-            for w in _workload_rows(counts[:need], epochs, services, times):
-                q1 += w.sum(axis=0)
-                q2 += (w * w).sum(axis=0)
+            s1, s2 = _workload_sums(counts[:need], epochs, services,
+                                    cfg.grid)
+            q1 += s1
+            q2 += s2
             lengths.append(block_lengths[:need])
             need -= len(lengths[-1])
             if need == 0:

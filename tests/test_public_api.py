@@ -43,8 +43,8 @@ def oracle_imports_from(module_name):
     return shared
 
 
-# the workload kernel, the block reader of W and the cycle cutter
-KERNELS = {"_free_minimum", "workload_at", "_workload_rows", "_cycle_blocks"}
+# the workload kernel, the segment sums of W and W^2 and the cycle cutter
+KERNELS = {"_free_minimum", "_workload_sums", "_cycle_blocks"}
 
 
 def oracle_names():

@@ -254,6 +254,28 @@ def test_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back.stderr, curve.stderr)
 
 
+@pytest.mark.parametrize("with_stderr", [False, True])
+def test_curve_csv_bytes_are_pinned(tmp_path, with_stderr):
+    # each cell is the double at 17 significant digits ("%.17g"), with an
+    # exponent for tiny, huge and subnormal values
+    values = np.array([0.0, 1 / 3, -2.5e-300, 1e300])
+    stderr = np.array([0.0, 5e-324, 0.1, 12345.678])
+    curve = Curve(TimeGrid(step=0.1, n_points=4), values,
+                  stderr=stderr if with_stderr else None)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    if with_stderr:
+        want = ("t,value,stderr\n0,0,0\n"
+                "0.10000000000000001,0.33333333333333331,4.9406564584124654e-324\n"
+                "0.20000000000000001,-2.5e-300,0.10000000000000001\n"
+                "0.30000000000000004,1.0000000000000001e+300,12345.678\n")
+    else:
+        want = ("t,value\n0,0\n0.10000000000000001,0.33333333333333331\n"
+                "0.20000000000000001,-2.5e-300\n"
+                "0.30000000000000004,1.0000000000000001e+300\n")
+    assert path.read_bytes() == want.encode()
+
+
 def test_write_curve_csv_failure_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "curve.csv"
     path.write_text("old\n")

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transient_queue import (CyclePath, CycleTruncationError, Deterministic,
-                             Exponential, HyperExponential, McConfig, Mm1Model,
+from transient_queue import (CycleTruncationError, Deterministic, Exponential,
+                             HyperExponential, McConfig, Mm1Model,
                              QueueModel, TimeGrid, busy_cramer_abscissa,
                              busy_mean, cycle_moments, estimate_phi,
                              estimate_stationary, first_cycle_study, phi_exact,
-                             simulate_cycle, stationary_pk, workload_at)
+                             simulate_cycle, stationary_pk)
 from transient_queue import simulate
-from transient_queue.simulate import (_BLOCK_CELLS, _DOMAIN_PHI,
-                                      _DOMAIN_STATIONARY, _cycle_blocks,
-                                      _stream, _workload_rows)
+from transient_queue.simulate import (_DOMAIN_PHI, _DOMAIN_STATIONARY, _cells,
+                                      _cycle_blocks, _stream, _workload_sums)
 
 from oracles import (cycles_by_lindley, first_cycles_by_simulate_cycle,
                      phi_by_cycle_concatenation, workload_by_lindley)
@@ -28,13 +27,16 @@ def grid(step, t_max):
     return TimeGrid(step=step, n_points=int(round(t_max / step)) + 1)
 
 
-def reconstruct_workload(path, times):
-    return np.array([workload_at(path, float(t)) for t in times])
-
-
-def one_row(epochs, services, times):
-    """W at ``times`` of one path, read through the block kernel."""
-    return next(_workload_rows(np.array([len(epochs)]), epochs, services, times))[0]
+def one_row(epochs, services, on):
+    """W on the grid ``on`` of one path, read through the kernel, whose sum
+    over one row is W itself and whose sum of squares is W^2 (to rounding
+    at the scale of the grid times within a window, not of W^2)."""
+    w, w2 = _workload_sums(np.array([len(epochs)]),
+                           np.asarray(epochs, dtype=float),
+                           np.asarray(services, dtype=float), on)
+    np.testing.assert_allclose(w2, w * w, rtol=1e-12, atol=1e-12)
+    assert np.all(w2 >= 0.0)
+    return w
 
 
 class ReplayExhausted(Exception):
@@ -82,10 +84,12 @@ def test_cycle_structure():
         assert np.all(np.diff(path.epochs) > 0)
         assert path.busy_length == pytest.approx(
             path.cycle_length - path.epochs[0], abs=1e-12)
-        # ends exactly empty, nonnegative throughout
-        assert workload_at(path, path.cycle_length) == 0.0
-        ts = np.linspace(0.0, path.cycle_length, 50)
-        assert np.all(reconstruct_workload(path, ts) >= 0.0)
+        # nonnegative throughout, empty at the cycle end and after it
+        w = one_row(path.epochs, path.services,
+                    TimeGrid(path.cycle_length / 49, 51))
+        assert np.all(w >= 0.0)
+        assert w[49] == pytest.approx(0.0, abs=1e-12)
+        assert w[50] == 0.0
 
 
 def test_single_arrival_cycles_have_unit_busy_period():
@@ -126,44 +130,53 @@ def test_cycle_tail_is_exponential_not_heavy():
     assert np.all(slopes <= -absc / 2)
 
 
-# ----------------------------------------------------------- workload_at
-
-def test_workload_at_handcrafted_path():
-    path = CyclePath(epochs=np.array([2.0]), services=np.array([1.5]),
-                     cycle_length=3.5, busy_length=1.5)
-    assert workload_at(path, 0.0) == 0.0
-    assert workload_at(path, 1.99) == 0.0
-    assert workload_at(path, 2.0) == pytest.approx(1.5)
-    assert workload_at(path, 2.75) == pytest.approx(0.75)
-    assert workload_at(path, 3.5) == 0.0
-    assert workload_at(path, 10.0) == 0.0
-    with pytest.raises(ValueError):
-        workload_at(path, -0.1)
-
-
-def test_workload_at_two_arrivals():
-    path = CyclePath(epochs=np.array([1.0, 1.5]), services=np.array([2.0, 1.0]),
-                     cycle_length=4.0, busy_length=3.0)
-    assert workload_at(path, 1.0) == pytest.approx(2.0)
-    assert workload_at(path, 1.5) == pytest.approx(2.5)  # 1.5 left + 1 new
-    assert workload_at(path, 3.0) == pytest.approx(1.0)
-    assert workload_at(path, 3.9999) == pytest.approx(0.0001, abs=1e-9)
-
-
 # ------------------------------------------------------- workload kernel
+
+def test_one_row_handcrafted_path():
+    # one arrival at 2 with service 1.5, on the grid 0, 0.25, ..., 10
+    w = one_row([2.0], [1.5], grid(0.25, 10.0))
+    t = grid(0.25, 10.0).times()
+    want = np.where(t >= 2.0, np.maximum(3.5 - t, 0.0), 0.0)
+    assert np.array_equal(w, want)
+    assert w[8] == 1.5 and w[11] == 0.75 and w[14] == 0.0
+
+
+def test_one_row_two_arrivals():
+    w = one_row([1.0, 1.5], [2.0, 1.0], grid(0.5, 5.0))
+    # 1.5 left of the first service plus 1 new at 1.5, then drained by 4
+    assert w == pytest.approx([0, 0, 2.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0, 0, 0],
+                              abs=1e-15)
+
 
 def test_kernel_handcrafted_path_with_two_busy_periods():
     epochs = np.array([1.0, 1.5, 6.0])
     services = np.array([2.0, 1.0, 0.5])
-    times = np.array([1.0, 1.5, 4.0, 5.0, 6.0, 6.25, 7.0])
-    w = one_row(epochs, services, times)
-    assert w == pytest.approx([2.0, 2.5, 0.0, 0.0, 0.5, 0.25, 0.0], abs=1e-15)
+    w = one_row(epochs, services, grid(0.25, 7.0))
+    at = [4, 6, 16, 20, 24, 25, 28]  # t = 1, 1.5, 4, 5, 6, 6.25, 7
+    assert w[at] == pytest.approx([2.0, 2.5, 0.0, 0.0, 0.5, 0.25, 0.0],
+                                  abs=1e-15)
 
 
 def test_kernel_empty_path_is_zero():
-    times = np.linspace(0.0, 5.0, 11)
-    w = one_row(np.empty(0), np.empty(0), times)
+    w = one_row(np.empty(0), np.empty(0), grid(0.5, 5.0))
     assert np.array_equal(w, np.zeros(11))
+
+
+def lindley_sums(rows, times):
+    """Sums over rows of W and W^2 by the oracle's walk, row by row."""
+    walks = [workload_by_lindley(np.array([e for e, _ in row], dtype=float),
+                                 np.array([s for _, s in row], dtype=float),
+                                 times) for row in rows]
+    walks = np.array(walks).reshape(len(rows), len(times))
+    return walks.sum(axis=0), (walks * walks).sum(axis=0)
+
+
+def kernel_sums(rows, on, sort=False):
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    flat = [pair for row in rows for pair in row]
+    epochs = np.array([e for e, _ in flat], dtype=float)
+    services = np.array([s for _, s in flat], dtype=float)
+    return _workload_sums(counts, epochs, services, on, sort=sort)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,42 +187,144 @@ def test_kernel_matches_lindley_walk(arrivals):
     # periods between busy periods
     gaps, services = np.array(arrivals).reshape(-1, 2).T
     epochs = np.cumsum(gaps)
-    end = gaps.sum() + services.sum() + 1.0
-    times = np.sort(np.concatenate((np.linspace(0.0, end, 97), epochs)))
-    np.testing.assert_allclose(one_row(epochs, services, times),
-                               workload_by_lindley(epochs, services, times),
+    on = TimeGrid((gaps.sum() + services.sum() + 1.0) / 96, 97)
+    np.testing.assert_allclose(one_row(epochs, services, on),
+                               workload_by_lindley(epochs, services, on.times()),
                                rtol=0.0, atol=1e-12)
 
 
-PHI_TIMES = TimeGrid(step=0.05, n_points=801).times()  # 40 rows per block
+PHI_GRID = TimeGrid(step=0.05, n_points=801)
+PHI_TIMES = PHI_GRID.times()
 ON_GRID = st.integers(0, 800).map(lambda i: float(PHI_TIMES[i]))
 
 
+def epochs_sorted(row):
+    """The row the kernel walks when it sorts: epochs sorted, each service
+    left in its place."""
+    return list(zip(sorted(e for e, _ in row), [s for _, s in row]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.lists(st.tuples(st.one_of(ON_GRID, st.floats(0.0, 40.0)),
+@given(rows=st.lists(st.lists(st.tuples(st.one_of(ON_GRID, st.floats(0.0, 45.0)),
                                         st.floats(0.01, 3.0)),
                               max_size=30),
-                     min_size=1, max_size=100))
+                     min_size=1, max_size=100),
+       slots=st.sampled_from([1, 7, 64, 2**15]))
 @example(rows=[[(float(PHI_TIMES[(37 * r + 5 * j) % 801]), 0.5 + j)
-                for j in range(r % 4)] for r in range(100)])
-def test_workload_rows_match_lindley_walk(rows):
+                for j in range(r % 4)] for r in range(100)], slots=64)
+def test_workload_sums_match_lindley_walk(rows, slots):
     # (epoch, service) pairs per row, rows of 0-30 arrivals, some epochs
-    # exactly on grid points; up to 100 rows span several blocks
-    rows = [sorted(row) for row in rows]
-    counts = np.array([len(row) for row in rows])
-    flat = [pair for row in rows for pair in row]
-    epochs = np.array([e for e, _ in flat], dtype=float)
-    services = np.array([s for _, s in flat], dtype=float)
-    blocks = list(_workload_rows(counts, epochs, services, PHI_TIMES))
-    per_block = _BLOCK_CELLS // len(PHI_TIMES)
-    assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
-    w = np.vstack(blocks)
-    assert w.shape == (len(rows), len(PHI_TIMES))
-    for r, row in enumerate(rows):
-        e = np.array([a for a, _ in row], dtype=float)
-        s = np.array([b for _, b in row], dtype=float)
-        np.testing.assert_allclose(w[r], workload_by_lindley(e, s, PHI_TIMES),
-                                   rtol=0.0, atol=1e-12)
+    # exactly on grid points and some past the last one; blocks of as few
+    # as one row; unsorted rows sorted by the kernel
+    walked = [epochs_sorted(row) for row in rows]
+    want = lindley_sums(walked, PHI_TIMES)
+    saved = simulate._BLOCK_SLOTS
+    simulate._BLOCK_SLOTS = slots
+    try:
+        sorted_here = kernel_sums(rows, PHI_GRID, sort=True)
+        presorted = kernel_sums(walked, PHI_GRID)
+    finally:
+        simulate._BLOCK_SLOTS = saved
+    for got, w in zip((*sorted_here, *presorted), want + want):
+        np.testing.assert_allclose(got, w, rtol=1e-12, atol=1e-11)
+        assert np.all(got >= 0.0)
+
+
+def test_workload_sums_edge_cells():
+    # one row per edge of the cell rule, on the grid 0, 0.25, ..., 4
+    on = TimeGrid(step=0.25, n_points=17)
+    rows = [
+        [(0.3, 0.5), (0.4, 0.25)],  # two arrivals in one cell
+        [(1.0, 0.6)],               # an arrival on a grid point
+        [(0.5, 1.0)],               # a deadline (1.5) on a grid point
+        [],                         # an empty row
+        [(3.9, 1.0), (4.5, 2.0)],   # runs past the grid; one arrival past it
+    ]
+    w = np.zeros((len(rows), 17))
+    w[0, 2:5] = [1.05 - 0.5, 1.05 - 0.75, 1.05 - 1.0]
+    w[1, 4:7] = [0.6, 0.35, 0.1]
+    w[2, 2:6] = [1.0, 0.75, 0.5, 0.25]
+    w[4, 16] = 0.9
+    got1, got2 = kernel_sums(rows, on)
+    want1, want2 = lindley_sums(rows, on.times())
+    for got, want in ((got1, w.sum(axis=0)), (got2, (w * w).sum(axis=0)),
+                      (got1, want1), (got2, want2)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # exact zeros: before the first arrival, at the deadline on t = 1.5
+    # (row 2's), and wherever no row is busy
+    assert np.array_equal(got1 == 0, w.sum(axis=0) == 0)
+    assert np.array_equal(got2 == 0, w.sum(axis=0) == 0)
+    # a block whose every row is empty
+    got1, got2 = kernel_sums([[], [], []], on)
+    assert np.array_equal(got1, np.zeros(17))
+    assert np.array_equal(got2, np.zeros(17))
+
+
+def test_workload_sums_long_horizon():
+    # rho = 0.9 to t = 400 at step 0.05: E W^2 is about 180 while t^2 runs
+    # to 1.6e5, where sum W^2 = c2 - 2 t c1 + t^2 c0 would lose digits
+    on = TimeGrid(step=0.05, n_points=8001)
+    rng = np.random.default_rng(90)
+    counts = rng.poisson(0.9 * on.horizon, 24)
+    epochs = rng.uniform(0.0, on.horizon, counts.sum())
+    services = rng.exponential(1.0, counts.sum())
+    got1, got2 = _workload_sums(counts, epochs, services, on, sort=True)
+    ends = np.cumsum(counts)
+    rows = [list(zip(np.sort(epochs[end - c:end]), services[end - c:end]))
+            for c, end in zip(counts, ends)]
+    want1, want2 = lindley_sums(rows, on.times())
+    busy = want1 > 0
+    assert busy[-1] and busy.mean() > 0.99
+    for got, want in ((got1, want1), (got2, want2)):
+        assert np.all(got[~busy] == 0.0)
+        assert np.all(np.abs(got[busy] - want[busy]) <= 1e-10 * want[busy])
+
+
+def test_workload_sums_keep_digits_where_few_rows_cover():
+    # 1000 rows busy only near t = 0, then one row alone to t = 40 with W
+    # below 1: summed from t = 0, the early rows' rounding in D and D^2
+    # would carry into the late cells and move sum W^2 there by ~1e-8
+    on = TimeGrid(step=0.05, n_points=801)
+    rng = np.random.default_rng(7)
+    rows = [sorted(zip(rng.uniform(0.0, 2.0, 3), rng.exponential(1.0, 3)))
+            for _ in range(1000)]
+    rows.append(list(zip(np.arange(0.0, 40.0, 0.8) + 0.013,
+                         rng.uniform(0.7, 0.9, 50))))
+    got1, got2 = kernel_sums(rows, on)
+    want1, want2 = lindley_sums(rows, on.times())
+    busy = want1 > 0
+    assert busy[-1]
+    for got, want in ((got1, want1), (got2, want2)):
+        assert np.all(got[~busy] == 0.0)
+        assert np.all(np.abs(got[busy] - want[busy]) <= 1e-10 * want[busy])
+
+
+def test_workload_sums_square_floored_at_zero():
+    # seven one-arrival rows whose deadlines lie within 1e-9 past t = 34:
+    # there sum W^2 is about 1e-19, and c2 - 2 t c1 + t^2 c0 came out at
+    # -1.1e-16 before the floor
+    on = TimeGrid(step=0.05, n_points=801)
+    epochs = [9.17274826797159, 1.3930998138306194, 0.5619396079699892,
+              27.651188132809263, 31.033689627442538, 20.625616376084114,
+              24.802883073455945]
+    services = [24.827251732030234, 32.60690018657717, 33.438060392108554,
+                6.3488118671907365, 2.9663103726969133, 13.374383623915886,
+                9.19711692656793]
+    got1, got2 = kernel_sums([[pair] for pair in zip(epochs, services)], on)
+    assert 0.0 < got1[680] < 1e-9
+    assert np.all(got2 >= 0.0)
+    assert got2[680] <= 1e-15
+
+
+@pytest.mark.parametrize("step", [0.05, 0.02, 0.1, 1 / 3])
+def test_cells_are_searchsorted(step):
+    times = TimeGrid(step=step, n_points=4001).times()
+    x = np.concatenate((times, np.nextafter(times, -np.inf),
+                        np.nextafter(times, np.inf),
+                        np.random.default_rng(1).uniform(-1.0, 1.1 * times[-1],
+                                                         10**5)))
+    points = np.append(times, np.inf)
+    assert np.array_equal(_cells(points, step, x), np.searchsorted(times, x))
 
 
 # ---------------------------------------------------------- estimate_phi
@@ -377,7 +492,8 @@ def test_cycle_blocks_carry_the_open_cycle():
     rng = np.random.default_rng(2718)
     gaps = rng.exponential(1.0 / 0.9, 1600)
     services = rng.exponential(1.0, 1600)
-    times = np.linspace(0.0, 30.0, 121)
+    on = TimeGrid(0.25, 121)
+    times = on.times()
     counts, epochs, served, lengths, areas = cut(gaps, services, 8, times[-1])
     want_areas, want_lengths = cycles_by_lindley(gaps, services)
     assert max(lengths) > 10 * 8 / 0.9 and len(lengths) > 100
@@ -387,9 +503,10 @@ def test_cycle_blocks_carry_the_open_cycle():
     # path, on the grid inside the cycle; 0 from the cycle end on
     abs_epochs = np.cumsum(gaps)
     begins = np.concatenate(([0.0], np.cumsum(want_lengths)[:-1]))
-    rows = np.vstack(list(_workload_rows(counts.astype(int), epochs, served,
-                                         times)))
-    for row, begin, length in zip(rows, begins, want_lengths):
+    counts = counts.astype(int)
+    for end, count, begin, length in zip(np.cumsum(counts), counts, begins,
+                                         want_lengths):
+        row = one_row(epochs[end - count:end], served[end - count:end], on)
         inside = times < length
         want = workload_by_lindley(abs_epochs, services, begin + times[inside])
         np.testing.assert_allclose(row[inside], want, rtol=0.0, atol=1e-12)
@@ -460,8 +577,8 @@ def test_mcconfig_validation():
 def test_workload_reconstruction_nonnegative(seed):
     rng = np.random.default_rng(seed)
     path = simulate_cycle(MM1, rng)
-    ts = np.linspace(0.0, path.cycle_length * 1.1, 64)
-    w = reconstruct_workload(path, ts)
+    w = one_row(path.epochs, path.services,
+                TimeGrid(path.cycle_length * 1.1 / 63, 64))
     assert np.all(w >= 0.0)
     assert w[-1] == 0.0
 
