@@ -140,11 +140,7 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
     renewal_curve = phi_via_renewal(study.q, renew)
 
     report: dict = {
-        "model": {
-            "arrival_rate": model.arrival_rate,
-            "service": model.service.spec_string(),
-            "rho": model.rho,
-        },
+        "model": model.as_dict(),
         "mc": {"replications": cfg.replications, "base_seed": cfg.base_seed},
         "grid": {"step": grid.step, "n_points": grid.n_points},
         "methods": methods,

@@ -44,6 +44,13 @@ class QueueModel:
     def rho(self) -> float:
         return self.arrival_rate * self.service.moment(1)
 
+    def as_dict(self) -> dict:
+        return {
+            "arrival_rate": self.arrival_rate,
+            "service": self.service.spec_string(),
+            "rho": self.rho,
+        }
+
 
 @dataclass(frozen=True)
 class CycleMoments:

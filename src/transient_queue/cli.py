@@ -20,8 +20,8 @@ from .analysis import (EXP_WITH_SQRT_T, PURE_EXPONENTIAL, UnfitError,
 from .busy_period import (IterationLimitError, QueueModel, busy_cramer_abscissa,
                           busy_lst, busy_mean, cycle_moments)
 from .distributions import DistributionSpecError, parse_service_spec
-from .renewal import (TimeGrid, atomic_write, phi_via_renewal, read_curve_csv,
-                      renewal_function, write_curve_csv)
+from .renewal import (TimeGrid, _csv_text, atomic_write, phi_via_renewal,
+                      read_curve_csv, renewal_function, write_curve_csv)
 from .simulate import (CycleTruncationError, McConfig, estimate_phi,
                        estimate_stationary, first_cycle_study)
 from .mm1 import SeriesTruncationError
@@ -59,14 +59,6 @@ def _make_config(args, grid: TimeGrid) -> McConfig:
     return McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
 
 
-def _model_summary(model: QueueModel) -> dict:
-    return {
-        "arrival_rate": model.arrival_rate,
-        "service": model.service.spec_string(),
-        "rho": model.rho,
-    }
-
-
 def _cmd_simulate(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
@@ -76,7 +68,7 @@ def _cmd_simulate(args) -> int:
     horizon = 1000.0 * cycle_moments(model).cycle_mean
     phi_hat, se = estimate_stationary(model, horizon, seed=args.seed)
     summary = {
-        "model": _model_summary(model),
+        "model": model.as_dict(),
         "seed": args.seed,
         "replications": args.reps,
         "phi_stationary_estimate": phi_hat,
@@ -105,11 +97,9 @@ def _cmd_mm1_exact(args) -> int:
         gap = np.abs(phi_lit - asym)
     else:
         gap = np.abs(phi_def - (asym - (1.0 - model.rho)))
-    lines = ["t,phi_exact,phi_paper_literal,phi_asymptotic,abs_gap"]
-    for i, t in enumerate(times):
-        lines.append(f"{t:.17g},{phi_def[i]:.17g},{phi_lit[i]:.17g},"
-                     f"{asym[i]:.17g},{gap[i]:.17g}")
-    atomic_write(args.output, "\n".join(lines) + "\n")
+    atomic_write(args.output, _csv_text(
+        "t,phi_exact,phi_paper_literal,phi_asymptotic,abs_gap",
+        [times, phi_def, phi_lit, asym, gap]))
     return 0
 
 
@@ -141,7 +131,7 @@ def _parse_range(text: str, name: str, parts: int):
 def _cmd_busy_period(args) -> int:
     model = _make_model(args)
     summary = {
-        "model": _model_summary(model),
+        "model": model.as_dict(),
         "busy_mean": busy_mean(model),
     }
     cm = cycle_moments(model)
@@ -151,14 +141,14 @@ def _cmd_busy_period(args) -> int:
         summary["cramer_abscissa"] = busy_cramer_abscissa(model, tol=1e-4)
     if args.s_grid is not None:
         lo, hi, step = _parse_range(args.s_grid, "--s-grid", 3)
-        if step <= 0 or hi < lo or lo < 0:
+        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0
+                and 0 <= lo <= hi):
             raise ValidationError(
-                f"--s-grid needs 0 <= lo <= hi and step > 0, got {args.s_grid!r}")
+                f"--s-grid needs finite 0 <= lo <= hi and step > 0, "
+                f"got {args.s_grid!r}")
         svals = np.arange(lo, hi + 1e-12, step)
-        lines = ["s,busy_lst"]
-        for s in svals:
-            lines.append(f"{s:.17g},{busy_lst(model, float(s)):.17g}")
-        atomic_write(args.output, "\n".join(lines) + "\n")
+        lst = [busy_lst(model, float(s)) for s in svals]
+        atomic_write(args.output, _csv_text("s,busy_lst", [svals, lst]))
         sys.stdout.write(_json_text(summary))
     else:
         atomic_write(args.output, _json_text(summary))
@@ -199,20 +189,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _add_model_args(p, need_seeded_grid=True):
+def _add_model_args(p):
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="arrival rate")
     p.add_argument("--service", required=True,
                    help="service spec, e.g. exp:rate=1.0 or erlang:shape=2,rate=2.0")
-    if need_seeded_grid:
-        p.add_argument("--t-max", dest="t_max", type=float, required=True)
-        p.add_argument("--step", type=float, required=True)
-        p.add_argument("--reps", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True,
-                       help="base seed (mandatory: keeps outputs reproducible)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; replications run "
-                            "in one thread and the output never depends on it")
+    p.add_argument("--t-max", dest="t_max", type=float, required=True)
+    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="base seed (mandatory: keeps outputs reproducible)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; replications run "
+                        "in one thread and the output never depends on it")
     p.add_argument("-o", "--output", required=True)
 
 

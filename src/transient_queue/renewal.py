@@ -107,18 +107,20 @@ def atomic_write(path, text: str) -> None:
 
 def write_curve_csv(curve: Curve, path) -> None:
     """Serialize as ``t,value[,stderr]`` rows at full double precision."""
-    atomic_write(path, _curve_csv_text(curve))
-
-
-def _curve_csv_text(curve: Curve) -> str:
     columns = [curve.times(), curve.values]
     if curve.stderr is not None:
         columns.append(curve.stderr)
     header = "t,value" if curve.stderr is None else "t,value,stderr"
+    atomic_write(path, _csv_text(header, columns))
+
+
+def _csv_text(header: str, columns) -> str:
+    """``header``, then one row per entry of the equal-length ``columns``,
+    every number at full double precision."""
     rows = ",".join(["%.17g"] * len(columns)) + "\n"
     # one format over Python floats, which print as numpy scalars do
     cells = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + (rows * len(curve.values)) % tuple(cells)
+    return header + "\n" + (rows * len(columns[0])) % tuple(cells)
 
 
 def read_curve_csv(path) -> Curve:

@@ -3,9 +3,13 @@
 The workload (virtual waiting time) starts at 0, jumps by the service
 requirement at each Poisson arrival and drains at unit rate.  Every
 estimator reads it off one kernel: the free process X(t) = (work arrived)
-- t minus its running minimum.  The phi curve and q add W and W^2 over
-paths on the grid from each arrival's run of grid points, so their cost
-grows with arrivals plus grid points, not paths times grid points.
+- t minus its running minimum.  Each path source runs it once on every
+block it draws: ``_row_blocks`` on blocks of the phi curve's rows, and
+``_cycle_blocks`` on blocks of one long path that it cuts into cycles.
+Both hand each arrival's drain deadline to the segment sums
+``_workload_sums``, which add W and W^2 over paths on the grid from each
+arrival's run of grid points, so the cost of the phi curve and of q grows
+with arrivals plus grid points, not paths times grid points.
 Streams are derived from (base_seed, domain, index): the index is the
 chunk of replications for the phi curve and for first cycles, and 0 for
 the one stationary path.  Replications run in fixed-size chunks in one
@@ -24,7 +28,7 @@ from .renewal import Curve, TimeGrid
 
 _EVENT_CAP = 10_000_000
 _CHUNK = 1024  # partial sums are merged per fixed-size chunk, in chunk order
-_BLOCK_SLOTS = 2**13  # arrival slots per row block of the workload kernel
+_BLOCK_SLOTS = 2**13  # arrival slots per block of padded phi rows
 _WINDOW = 32  # grid points per window of the workload kernel's sums
 _PATH_BLOCK = 2**16  # most draws per block of one path: about 2.6 MB at the peak
 
@@ -128,25 +132,48 @@ def _cells(points: np.ndarray, step: float, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _workload_sums(counts: np.ndarray, epochs: np.ndarray,
-                   services: np.ndarray, grid: TimeGrid, sort: bool = False):
-    """Sums over rows of the workload W and of W^2 from empty on the grid,
-    for many paths: two arrays of ``grid.n_points``.
+def _row_blocks(counts: np.ndarray, epochs: np.ndarray,
+                services: np.ndarray):
+    """Paths for ``_workload_sums`` from rows of arrivals in any order:
+    row r takes the next ``counts[r]`` entries of the flat ``epochs`` and
+    ``services``.  Rows go in blocks of at most ``_BLOCK_SLOTS`` arrival
+    slots, padded with epochs at inf and services of 0, with the epochs
+    sorted within each row (its services stay in the order given), through
+    ``_free_minimum`` once; each block yields (counts, epochs, deadlines)
+    of its real arrivals.
+    """
+    ends = np.cumsum(counts)
+    per_block = max(1, _BLOCK_SLOTS // max(1, int(counts.max(initial=0))))
+    for lo in range(0, len(counts), per_block):
+        c = counts[lo:lo + per_block]
+        filled = np.arange(c.max(initial=0)) < c[:, None]
+        first, last = ends[lo] - c[0], ends[lo + len(c) - 1]
+        e = np.full(filled.shape, np.inf)
+        s = np.zeros(filled.shape)
+        e[filled] = epochs[first:last]
+        s[filled] = services[first:last]
+        e.sort(axis=1)
+        cum, low = _free_minimum(e, s)
+        cum -= low
+        yield c, e[filled], cum[:, 1:][filled]
 
-    Row r takes the next ``counts[r]`` entries of the flat ``epochs``
-    (sorted within the row, or sorted here if ``sort``; its services stay
-    in the order given) and ``services``.  Along a row the drain deadline
-    D = cum - low never decreases, so arrival j covers the grid points
-    from the first at or after its epoch up to, not including, the first
-    at or after the next epoch or D_j, whichever comes first; there
-    W = D_j - t, and W = 0 where no arrival covers t.  Difference arrays
-    of 1, D and D^2 over those cells, summed by cumsum, give sum W =
-    c1 - t c0 and sum W^2 = c2 - 2 t c1 + t^2 c0, both exactly 0 where
-    c0 = 0.  The sums restart every ``_WINDOW`` grid points, with D and t
-    taken from the window's first point, so rounding stays at the scale
-    of W, not of t.  Rows go through ``_free_minimum`` in blocks of at
-    most ``_BLOCK_SLOTS`` arrival slots, padded with epochs at inf and
-    services of 0; only real arrivals are placed on the grid.
+
+def _workload_sums(blocks, grid: TimeGrid):
+    """Sums over paths of the workload W and of W^2 from empty on the
+    grid: two arrays of ``grid.n_points``.
+
+    Each block is (counts, epochs, deadlines): path r takes the next
+    ``counts[r]`` entries of the flat ``epochs`` (sorted within the path)
+    and ``deadlines``, each arrival's drain deadline D = cum - low from
+    ``_free_minimum``.  Along a path D never decreases, so arrival j
+    covers the grid points from the first at or after its epoch up to,
+    not including, the first at or after the next epoch or D_j, whichever
+    comes first; there W = D_j - t, and W = 0 where no arrival covers t.
+    Difference arrays of 1, D and D^2 over those cells, added over all
+    blocks and summed by one cumsum, give sum W = c1 - t c0 and sum W^2 =
+    c2 - 2 t c1 + t^2 c0, both exactly 0 where c0 = 0.  The sums restart
+    every ``_WINDOW`` grid points, with D and t taken from the window's
+    first point, so rounding stays at the scale of W, not of t.
     """
     times = grid.times()
     n = len(times)
@@ -159,27 +186,13 @@ def _workload_sums(counts: np.ndarray, epochs: np.ndarray,
     # per cell, the change in covering arrivals and in their D and D^2
     # from the window origin
     steps = np.zeros((3, size))
-    ends = np.cumsum(counts)
-    per_block = max(1, _BLOCK_SLOTS // max(1, int(counts.max(initial=0))))
-    for lo in range(0, len(counts), per_block):
-        c = counts[lo:lo + per_block]
-        filled = np.arange(c.max(initial=0)) < c[:, None]
-        first, last = ends[lo] - c[0], ends[lo + len(c) - 1]
-        e = np.full(filled.shape, np.inf)
-        s = np.zeros(filled.shape)
-        e[filled] = epochs[first:last]
-        s[filled] = services[first:last]
-        if sort:
-            e.sort(axis=1)
-        cum, low = _free_minimum(e, s)
-        cum -= low
-        deadline = cum[:, 1:][filled]
-        start = _cells(points, grid.step, e[filled])
-        # a row's next epoch bounds the cells of its arrival; the last
-        # arrival of a row is bounded by its deadline alone
+    for counts, epochs, deadline in blocks:
+        start = _cells(points, grid.step, epochs)
+        # a path's next epoch bounds the cells of its arrival; the last
+        # arrival of a path is bounded by its deadline alone
         stop = np.empty_like(start)
         stop[:-1] = start[1:]
-        stop[np.cumsum(c[c > 0]) - 1] = n
+        stop[np.cumsum(counts[counts > 0]) - 1] = n
         np.minimum(stop, _cells(points, grid.step, deadline), out=stop)
         live = stop > start
         start, stop, deadline = start[live], stop[live], deadline[live]
@@ -211,9 +224,10 @@ def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
     """Regeneration cycles of one path from empty, drawn from ``rng`` in
     blocks of ``size`` (at most ``_PATH_BLOCK``) gaps, then as many
     services.  Yields, per block that closes a cycle, (counts, epochs,
-    services, lengths, areas): per closed cycle its arrivals within
-    ``keep`` of its start (their number, and their epochs from the start
-    and services, flat) and its length and area under the workload.
+    deadlines, lengths, areas): per closed cycle its arrivals within
+    ``keep`` of its start (their number, and their epochs and drain
+    deadlines from the start, flat, as ``_workload_sums`` reads them) and
+    its length and area under the workload.
 
     Arrival j closes a cycle when the next gap outlasts the workload
     after_j it leaves; the rest of that gap idles into the next cycle, so
@@ -224,7 +238,7 @@ def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
     draw however long the cycle.
     """
     head = np.empty((2, 0))  # gap and service of the carried arrival
-    # the open cycle: its kept epochs and services, its start (in block
+    # the open cycle: its kept epochs and deadlines, its start (in block
     # time), its area before time 0 and its arrivals so far
     kept, start, area, events = np.empty((2, 0)), 0.0, 0.0, 0
     size = min(size, _PATH_BLOCK)
@@ -260,13 +274,14 @@ def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
         begins = np.concatenate(([start], epochs[closing] + after[closing]))
         head = np.array([[0.0], [after[-1]]])
         start, area = begins[-1] - epochs[-1], g[m:].sum()
-        del gaps, after, low, g, half_sq
+        del gaps, services, low, g, half_sq
         epochs -= np.repeat(begins, np.diff(closing, prepend=-1, append=n - 1))
+        after += epochs  # each drain deadline: its epoch plus the workload after
         within = epochs <= keep
         within[:h] = False  # the carried arrival is kept already
         split = kept.shape[1] + int(within[:m].sum())
-        kept = np.concatenate((kept, [epochs[within], services[within]]), axis=1)
-        del epochs, services
+        kept = np.concatenate((kept, [epochs[within], after[within]]), axis=1)
+        del epochs, after
         if m:
             counts = np.add.reduceat(within[:m], firsts, dtype=np.int64)
             counts[0] += split - counts.sum()
@@ -307,8 +322,8 @@ def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:
         arrivals = int(counts.sum())
         epochs = rng.uniform(0.0, horizon, arrivals)
         services = np.asarray(model.service.sample(rng, arrivals), dtype=float)
-        s1, s2 = _workload_sums(counts, epochs, services, cfg.grid,
-                                sort=True)
+        s1, s2 = _workload_sums(_row_blocks(counts, epochs, services),
+                                cfg.grid)
         total += s1  # summed per chunk, then merged in chunk order
         total_sq += s2
     mean, stderr = _mean_se(total, total_sq, cfg.replications)
@@ -346,10 +361,11 @@ def first_cycle_study(model: QueueModel, cfg: McConfig,
         need = min(_CHUNK, cfg.replications - lo)
         size = int(1.2 * need / (1.0 - model.rho)) + 64
         # arrivals past the grid leave W on it unchanged
-        for counts, epochs, services, block_lengths, _ in _cycle_blocks(
+        for counts, epochs, deadlines, block_lengths, _ in _cycle_blocks(
                 model, rng, size, times[-1]):
-            s1, s2 = _workload_sums(counts[:need], epochs, services,
-                                    cfg.grid)
+            k = counts[:need].sum()  # arrivals of the cycles still needed
+            s1, s2 = _workload_sums(
+                [(counts[:need], epochs[:k], deadlines[:k])], cfg.grid)
             q1 += s1
             q2 += s2
             lengths.append(block_lengths[:need])

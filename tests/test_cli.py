@@ -113,6 +113,17 @@ def test_mm1_exact_non_finite_number_exits_2_naming_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s_grid", ["nan:1:0.1", "0:inf:0.1", "0:1:inf"])
+def test_busy_period_non_finite_s_grid_exits_2_naming_the_flag(
+        tmp_path, capsys, s_grid):
+    out = tmp_path / "busy.csv"
+    code = main(["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+                 "--s-grid", s_grid, "-o", str(out)])
+    assert code == 2
+    assert "--s-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_rate_on_empty_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -43,8 +43,9 @@ def oracle_imports_from(module_name):
     return shared
 
 
-# the workload kernel, the segment sums of W and W^2 and the cycle cutter
-KERNELS = {"_free_minimum", "_workload_sums", "_cycle_blocks"}
+# the workload kernel, the segment sums of W and W^2 and the two path
+# sources that feed them: the phi row blocks and the cycle cutter
+KERNELS = {"_free_minimum", "_workload_sums", "_row_blocks", "_cycle_blocks"}
 
 
 def oracle_names():

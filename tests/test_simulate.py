@@ -14,7 +14,8 @@ from transient_queue import (CycleTruncationError, Deterministic, Exponential,
                              simulate_cycle, stationary_pk)
 from transient_queue import simulate
 from transient_queue.simulate import (_DOMAIN_PHI, _DOMAIN_STATIONARY, _cells,
-                                      _cycle_blocks, _stream, _workload_sums)
+                                      _cycle_blocks, _row_blocks, _stream,
+                                      _workload_sums)
 
 from oracles import (cycles_by_lindley, first_cycles_by_simulate_cycle,
                      phi_by_cycle_concatenation, workload_by_lindley)
@@ -27,16 +28,22 @@ def grid(step, t_max):
     return TimeGrid(step=step, n_points=int(round(t_max / step)) + 1)
 
 
-def one_row(epochs, services, on):
-    """W on the grid ``on`` of one path, read through the kernel, whose sum
-    over one row is W itself and whose sum of squares is W^2 (to rounding
-    at the scale of the grid times within a window, not of W^2)."""
-    w, w2 = _workload_sums(np.array([len(epochs)]),
-                           np.asarray(epochs, dtype=float),
-                           np.asarray(services, dtype=float), on)
+def read_row(blocks, on):
+    """W on the grid ``on`` of the one path in ``blocks``, read through the
+    kernel, whose sum over one path is W itself and whose sum of squares is
+    W^2 (to rounding at the scale of the grid times within a window, not
+    of W^2)."""
+    w, w2 = _workload_sums(blocks, on)
     np.testing.assert_allclose(w2, w * w, rtol=1e-12, atol=1e-12)
     assert np.all(w2 >= 0.0)
     return w
+
+
+def one_row(epochs, services, on):
+    """W on the grid ``on`` of one path given by its arrivals."""
+    return read_row(_row_blocks(np.array([len(epochs)]),
+                                np.asarray(epochs, dtype=float),
+                                np.asarray(services, dtype=float)), on)
 
 
 class ReplayExhausted(Exception):
@@ -64,7 +71,7 @@ class Replay:
 
 
 def cut(gaps, services, size, keep=math.inf):
-    """(counts, epochs, services, lengths, areas) of every cycle that
+    """(counts, epochs, deadlines, lengths, areas) of every cycle that
     ``_cycle_blocks`` closes on the given draws, in blocks of ``size``."""
     blocks = []
     with pytest.raises(ReplayExhausted):
@@ -171,12 +178,12 @@ def lindley_sums(rows, times):
     return walks.sum(axis=0), (walks * walks).sum(axis=0)
 
 
-def kernel_sums(rows, on, sort=False):
+def kernel_sums(rows, on):
     counts = np.array([len(row) for row in rows], dtype=np.int64)
     flat = [pair for row in rows for pair in row]
     epochs = np.array([e for e, _ in flat], dtype=float)
     services = np.array([s for _, s in flat], dtype=float)
-    return _workload_sums(counts, epochs, services, on, sort=sort)
+    return _workload_sums(_row_blocks(counts, epochs, services), on)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,8 +206,8 @@ ON_GRID = st.integers(0, 800).map(lambda i: float(PHI_TIMES[i]))
 
 
 def epochs_sorted(row):
-    """The row the kernel walks when it sorts: epochs sorted, each service
-    left in its place."""
+    """The row the kernel walks: epochs sorted by the row-block helper,
+    each service left in its place."""
     return list(zip(sorted(e for e, _ in row), [s for _, s in row]))
 
 
@@ -215,13 +222,13 @@ def epochs_sorted(row):
 def test_workload_sums_match_lindley_walk(rows, slots):
     # (epoch, service) pairs per row, rows of 0-30 arrivals, some epochs
     # exactly on grid points and some past the last one; blocks of as few
-    # as one row; unsorted rows sorted by the kernel
+    # as one row; unsorted rows sorted by the row-block helper
     walked = [epochs_sorted(row) for row in rows]
     want = lindley_sums(walked, PHI_TIMES)
     saved = simulate._BLOCK_SLOTS
     simulate._BLOCK_SLOTS = slots
     try:
-        sorted_here = kernel_sums(rows, PHI_GRID, sort=True)
+        sorted_here = kernel_sums(rows, PHI_GRID)
         presorted = kernel_sums(walked, PHI_GRID)
     finally:
         simulate._BLOCK_SLOTS = saved
@@ -268,7 +275,7 @@ def test_workload_sums_long_horizon():
     counts = rng.poisson(0.9 * on.horizon, 24)
     epochs = rng.uniform(0.0, on.horizon, counts.sum())
     services = rng.exponential(1.0, counts.sum())
-    got1, got2 = _workload_sums(counts, epochs, services, on, sort=True)
+    got1, got2 = _workload_sums(_row_blocks(counts, epochs, services), on)
     ends = np.cumsum(counts)
     rows = [list(zip(np.sort(epochs[end - c:end]), services[end - c:end]))
             for c, end in zip(counts, ends)]
@@ -437,10 +444,10 @@ def test_cycles_handcrafted_path():
     services = np.array([2.0, 1.0, 0.5, 0.5, 1.0])
     # busy from 1 to 4 (area 0.875 + 3.125), then from 5.5 to 6, 7.5 to 8;
     # the last arrival's next gap is not drawn: its cycle stays open
-    counts, epochs, served, lengths, areas = cut(gaps, services, 5)
+    counts, epochs, deadlines, lengths, areas = cut(gaps, services, 5)
     assert counts.tolist() == [2, 1, 1]
     assert epochs.tolist() == [1.0, 1.5, 1.5, 1.5]
-    assert served.tolist() == [2.0, 1.0, 0.5, 0.5]
+    assert deadlines.tolist() == [3.0, 4.0, 2.0, 2.0]
     assert lengths.tolist() == [4.0, 2.0, 2.0]
     assert areas.tolist() == [4.0, 0.125, 0.125]
     # in blocks of one arrival each cycle spans blocks; keep=1.0 leaves
@@ -494,19 +501,22 @@ def test_cycle_blocks_carry_the_open_cycle():
     services = rng.exponential(1.0, 1600)
     on = TimeGrid(0.25, 121)
     times = on.times()
-    counts, epochs, served, lengths, areas = cut(gaps, services, 8, times[-1])
+    counts, epochs, deadlines, lengths, areas = cut(gaps, services, 8,
+                                                    times[-1])
     want_areas, want_lengths = cycles_by_lindley(gaps, services)
     assert max(lengths) > 10 * 8 / 0.9 and len(lengths) > 100
     np.testing.assert_allclose(areas, want_areas, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(lengths, want_lengths, rtol=1e-12, atol=1e-12)
-    # W of each cycle from its kept arrivals against a walk over the whole
-    # path, on the grid inside the cycle; 0 from the cycle end on
+    # W of each cycle from its kept epochs and deadlines against a walk
+    # over the whole path, on the grid inside the cycle; 0 from the cycle
+    # end on
     abs_epochs = np.cumsum(gaps)
     begins = np.concatenate(([0.0], np.cumsum(want_lengths)[:-1]))
     counts = counts.astype(int)
     for end, count, begin, length in zip(np.cumsum(counts), counts, begins,
                                          want_lengths):
-        row = one_row(epochs[end - count:end], served[end - count:end], on)
+        row = read_row([(np.array([count]), epochs[end - count:end],
+                         deadlines[end - count:end])], on)
         inside = times < length
         want = workload_by_lindley(abs_epochs, services, begin + times[inside])
         np.testing.assert_allclose(row[inside], want, rtol=0.0, atol=1e-12)
