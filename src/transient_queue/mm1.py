@@ -57,8 +57,20 @@ def theoretical_rate(model: Mm1Model) -> float:
     return (math.sqrt(model.service_rate) - math.sqrt(model.arrival_rate)) ** 2
 
 
-def _miller_start_order(x):
-    return np.ceil(x + 40.0 * np.sqrt(x) + 40.0).astype(np.int64)
+def _miller_start_order(x, log_r=0.0):
+    """Order past which the summands r^k e^{-x} I_k(x) are negligible.
+
+    By the Debye asymptotics of I_k(x) the summands peak at
+    k = x sinh(log r) and fall off beyond it like a Gaussian of variance
+    x cosh(log r); for r = sqrt(mu/lam) and x = 2 sqrt(lam mu) t they are,
+    up to a constant factor, the Skellam law of Poisson(mu t) - Poisson(lam t),
+    of mean (mu - lam) t and variance (mu + lam) t.  The order sits 10
+    standard deviations past the peak; log_r = 0 sizes the Bessel values
+    alone.
+    """
+    peak = x * math.sinh(log_r)
+    spread = np.sqrt(x * math.cosh(log_r))
+    return np.ceil(peak + 10.0 * spread + 20.0).astype(np.int64)
 
 
 def _batches(widths: np.ndarray):
@@ -80,12 +92,15 @@ def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
 
     Backward (Miller) recurrence on the ratios q_k = I_k / I_{k+1},
     q_k = 2(k+1)/x + 1/q_{k+1}, run one order at a time across all x_j;
-    column j takes its starting value at its own order start_j, safely past
-    the decay point of I_n(x_j) in n.  The ratios are accumulated in the
-    log domain and normalized through the generating identity at y = 1:
-    the scaled values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1.  Each column
-    sees exactly the arithmetic of a recurrence run for it alone.  Entries
-    past start_j + 1 are finite but meaningless.
+    column j takes its starting value at its own order start_j, which the
+    caller places past the decay point of I_n(x_j) in n (see
+    ``_miller_start_order``).  The ratios are accumulated in the log domain
+    and normalized through the generating identity at y = 1: the scaled
+    values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1, with the sum over
+    n <= start_j + 1 taken as a running sum along the column and read at
+    the column's own order.  So each column sees exactly the arithmetic of
+    a recurrence run for it alone, whatever the batch.  Entries past
+    start_j + 1 are finite but meaningless.
     """
     width = int(start.max()) + 1
     q = 2.0 * np.arange(1, width + 1)[:, None] / x   # row k: 2(k+1)/x
@@ -109,10 +124,11 @@ def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     out = np.empty((len(x), width + 1))
     out[:, 0] = 0.0                                  # log(I_0 / I_0)
     out[:, 1:] = q.T
+    np.exp(q, out=q)
+    np.cumsum(q, axis=0, out=q)                      # sum_{m<=n} I_{m+1} / I_0
+    log_norm = np.log1p(2.0 * q[start, np.arange(len(x))])
     del q
-    log_norm = [math.log(1.0 + 2.0 * float(np.exp(row[1 : s + 2]).sum()))
-                for row, s in zip(out, start.tolist())]
-    out -= np.array(log_norm)[:, None]
+    out -= log_norm[:, None]
     return out
 
 
@@ -150,63 +166,71 @@ def _pn_rows(model: Mm1Model, t: np.ndarray, n_max: np.ndarray):
     where x = 2 sqrt(lam mu) t and r = sqrt(mu/lam).  Every product is
     assembled as exp(sum of logs), so huge r^k never meets a tiny scaled
     Bessel value head-on; each summand is <= 1 by the generating identity.
-    The tail is truncated where its topmost summands are negligible; a
-    point that fails that test is run again with a wider margin.
+    The summands are a multiple of the Skellam law of
+    Poisson(mu t) - Poisson(lam t), so the tail is cut at
+    ``_miller_start_order(x, log r)``, about 10 standard deviations past
+    the peak at (mu - lam) t, or at n_max + 2 if that is higher.  A point
+    whose topmost five summands are not negligible against the suffix sums
+    they feed is run again with a wider margin.
     """
     lam, mu, rho = model.arrival_rate, model.service_rate, model.rho
     x_all = 2.0 * math.sqrt(lam * mu) * t
     decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
     log_r = 0.5 * math.log(mu / lam)
-    base = np.maximum(_miller_start_order(x_all), n_max + 2)
+    base = np.maximum(_miller_start_order(x_all, log_r), n_max + 2)
     margin = np.zeros(len(t), dtype=np.int64)
     pending = np.arange(len(t))
     while pending.size:
-        retry = []
+        retry = np.zeros(len(t), dtype=bool)
         for batch in _batches(base[pending] + margin[pending] + 22):
             idx = pending[batch]
             n_arr = base[idx] + margin[idx]
             log_scaled = _log_bessel_rows(x_all[idx], n_arr + 20)
             minus_decay = -decay_all[idx][:, None]
-            k = np.arange(int(n_arr.max()) + 1)
-            # the summands, then in place their suffix sums
-            tail = minus_decay + k * log_r
-            tail += log_scaled[:, : k.size]
-            with np.errstate(over="ignore"):  # only past a row's own n_arr
-                np.exp(tail, out=tail)
-            tail[k > n_arr[:, None]] = 0.0
-            top = [float(row[n - 4 : n + 1].sum())
-                   for row, n in zip(tail, n_arr.tolist())]
-            np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])
-            ok = np.ones(len(idx), dtype=bool)
-            for i, n in enumerate(n_arr.tolist()):
-                # adequate truncation: the topmost summands must be
-                # negligible against every suffix sum they feed (5-term guard)
-                if top[i] <= 1e-16 * max(float(tail[i, 0]), 1e-300):
-                    continue
-                if n > _PN_TAIL_CAP:
-                    raise SeriesTruncationError(
-                        f"tail of the state-probability series not converged "
-                        f"by order {n}", top[i])
-                ok[i] = False
-                margin[idx[i]] = max(2 * int(margin[idx[i]]), n // 2)
-                retry.append(idx[i])
-            if not ok.any():
-                continue
+            # the direct terms come first, so that the Bessel logs are freed
+            # before the tail is built: at most three full arrays live
             n = np.arange(int(n_max[idx].max()) + 1)
             probs = minus_decay - n * log_r   # the direct terms, then P_n
             probs += log_scaled[:, : n.size]
             np.exp(probs, out=probs)
             upper = minus_decay - (n - 1) * log_r
             upper += log_scaled[:, 1 : n.size + 1]
-            del log_scaled
             probs += np.exp(upper, out=upper)
             del upper
+            k = np.arange(int(n_arr.max()) + 1)
+            # the summands, then in place their suffix sums
+            tail = minus_decay + k * log_r
+            tail += log_scaled[:, : k.size]
+            del log_scaled
+            with np.errstate(over="ignore"):  # only past a row's own n_arr
+                np.exp(tail, out=tail)
+            tail[k > n_arr[:, None]] = 0.0
+            np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])
+            # adequate truncation: the topmost summands must be negligible
+            # against every suffix sum they feed (5-term guard); past n_arr
+            # the summands are 0, so the suffix sum at n_arr - 4 is their sum
+            top = tail[np.arange(len(idx)), n_arr - 4]
+            ok = top <= 1e-16 * np.maximum(tail[:, 0], 1e-300)
+            if not ok.all():
+                bad = ~ok
+                over = bad & (n_arr > _PN_TAIL_CAP)
+                if over.any():
+                    raise SeriesTruncationError(
+                        f"tail of the state-probability series not converged "
+                        f"by order {n_arr[over][0]}", float(top[over][0]))
+                margin[idx[bad]] = np.maximum(2 * margin[idx[bad]],
+                                              n_arr[bad] // 2)
+                retry[idx[bad]] = True
+                if not ok.any():
+                    continue
             with np.errstate(over="ignore"):
                 geo = rho**n
-            probs += (1.0 - rho) * geo * tail[:, 2 : n.size + 2]
+            tail = tail[:, 2 : n.size + 2]
+            tail *= (1.0 - rho) * geo
+            probs += tail
             del tail
             yield (idx, probs) if ok.all() else (idx[ok], probs[ok])
-        pending = np.array(retry, dtype=np.int64)
+        pending = np.flatnonzero(retry)
 
 
 def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
@@ -267,23 +291,28 @@ def _phi_and_p0(model: Mm1Model, t: np.ndarray):
                 float(K[pending][over][0]))
         orders = K[pending].astype(np.int64)
         weights = np.arange(1, int(orders.max()) + 1) / mu
-        retry = []
+        retry = np.zeros(len(t), dtype=bool)
         for positions, rows in _pn_rows(model, t[pending], orders):
-            for j, probs in zip(pending[positions].tolist(), rows):
-                k = int(K[j])
-                # geometric tail bound: beyond K the probabilities sit below
-                # M rho^k (1-rho); sum_{k>K} k rho^k has a closed form
-                level = rho**k * (1.0 - rho)
-                M = max(1.0, float(probs[k]) / level) if level > 0 else 1.0
-                tail_bound = (M * (1.0 - rho) / mu * rho ** (k + 1)
-                              * ((k + 1) * (1.0 - rho) + rho)
-                              / (1.0 - rho) ** 2)
-                if tail_bound < 1e-10:
-                    value[j] = float(np.dot(probs[1 : k + 1], weights[:k]))
-                    p0[j] = float(probs[0])
-                else:
-                    retry.append(j)
-        pending = np.array(retry, dtype=np.int64)
+            j = pending[positions]
+            k = orders[positions]
+            # geometric tail bound: beyond K the probabilities sit below
+            # M rho^k (1-rho); sum_{k>K} k rho^k has a closed form
+            level = rho**k * (1.0 - rho)
+            M = np.divide(rows[np.arange(len(k)), k], level,
+                          out=np.ones(len(k)), where=level > 0)
+            np.maximum(M, 1.0, out=M)
+            tail_bound = (M * (1.0 - rho) / mu * rho ** (k + 1)
+                          * ((k + 1) * (1.0 - rho) + rho) / (1.0 - rho) ** 2)
+            done = tail_bound < 1e-10
+            retry[j[~done]] = True
+            # the mean, as a running sum along each row read at its own K
+            terms = rows[:, 1:]
+            terms *= weights[: terms.shape[1]]
+            np.cumsum(terms, axis=1, out=terms)
+            value[j[done]] = terms[done, k[done] - 1]
+            p0[j[done]] = rows[done, 0]
+            del rows, terms  # free this batch before the next one is built
+        pending = np.flatnonzero(retry)
         K[pending] *= 2
     return value, p0
 

@@ -10,7 +10,7 @@ from transient_queue import (Mm1Model, SeriesTruncationError, TimeGrid,
                              phi_asymptotic, phi_curve, phi_exact, pn_array,
                              theoretical_rate)
 
-from oracles import bessel_series_scaled, birth_death_pn
+from oracles import bessel_series_scaled, birth_death_phi, birth_death_pn
 
 MM1 = Mm1Model(0.5, 1.0)
 
@@ -60,13 +60,27 @@ def test_log_bessel_beyond_underflow():
 
 def test_bessel_rows_of_a_batch_are_each_row_run_alone():
     # each column starts the recurrence at its own order, not at the
-    # batch's highest one, so batching changes no bit of any row
-    x = np.array([1e-3, 0.7, 3.0, 30.0, 500.0])
-    start = mm1._miller_start_order(x) + np.array([5, 0, 60, 0, 0])
+    # batch's highest one, and sums its normalization up to that order, so
+    # batching changes no bit of any row; the last column stops well short
+    # of its decay point, where the orders past it are far from negligible
+    x = np.array([1e-3, 0.7, 3.0, 30.0, 500.0, 30.0])
+    start = mm1._miller_start_order(x) + np.array([5, 0, 60, 0, 0, -60])
     rows = mm1._log_bessel_rows(x, start)
     for j, s in enumerate(start):
         alone = mm1._log_bessel_rows(x[j : j + 1], start[j : j + 1])[0]
         assert np.array_equal(rows[j, : s + 2], alone)
+
+
+def test_pn_rows_of_a_batch_are_each_row_run_alone():
+    # the guard, the suffix sums and the direct terms read no entry past a
+    # row's own orders, so a row's P_n do not depend on its batch
+    t = np.array([0.5, 3.0, 40.0, 100.0, 7.0])
+    n_max = np.array([30, 5, 60, 200, 2])
+    [(positions, rows)] = mm1._pn_rows(MM1, t, n_max)
+    for i, j in enumerate(positions):
+        [(_, alone)] = mm1._pn_rows(MM1, t[j : j + 1], n_max[j : j + 1])
+        assert np.array_equal(rows[i, : n_max[j] + 1],
+                              alone[0, : n_max[j] + 1])
 
 
 def test_bessel_input_validation():
@@ -164,19 +178,78 @@ def test_phi_curve_matches_pointwise():
         assert curve.values[i] == phi_exact(MM1, float(t))
 
 
-@pytest.mark.parametrize("model, grid", [
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call to mm1.<name>."""
+    calls = []
+    real = getattr(mm1, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mm1, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("model, grid, expect", [
     # t = 0, small and large t in one call: several batches of the series
-    (MM1, TimeGrid(0.75, 281)),
+    (MM1, TimeGrid(0.75, 281), "batches"),
     # points whose tail needs a wider margin, run again in a later batch
-    (Mm1Model(0.01, 1.0), TimeGrid(50.0, 21)),
+    (Mm1Model(0.01, 1.0), TimeGrid(50.0, 21), "margin"),
     # points whose truncation order K is doubled
-    (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3)),
+    (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3), "doubled-K"),
 ], ids=["mixed", "margin", "doubled-K"])
-def test_phi_curve_matches_pointwise_across_batches(model, grid):
+def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
+                                                    monkeypatch):
+    if expect == "margin":
+        reference = phi_curve(model, grid).values
+        # no start order past the n_max + 2 floor: the peak of the tail's
+        # summands at (mu - lam) t lies beyond K, so the guard must retry
+        monkeypatch.setattr(mm1, "_miller_start_order",
+                            lambda x, log_r=0.0: np.zeros(np.shape(x), int))
+    bessel_calls = _spy(monkeypatch, "_log_bessel_rows")
+    pn_calls = _spy(monkeypatch, "_pn_rows")
+    curve = phi_curve(model, grid)
+    xs = np.concatenate([x for x, _ in bessel_calls])
+    if expect == "batches":
+        assert len(bessel_calls) > 1
+        assert len(np.unique(xs)) == len(xs)
+    elif expect == "margin":
+        assert len(np.unique(xs)) < len(xs)        # some point ran again
+        np.testing.assert_allclose(curve.values, reference, rtol=1e-12)
+    else:
+        assert len(pn_calls) >= 2                  # a second pass, on K ...
+        first, later = pn_calls[0][2], pn_calls[1][2]
+        assert set(later.tolist()) <= set((2 * first).tolist())  # doubled
     for literal in (False, True):
         curve = phi_curve(model, grid, paper_literal=literal)
         for i, t in enumerate(grid.times()):
             assert curve.values[i] == phi_exact(model, float(t), literal)
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+def test_phi_and_p0_are_the_sums_of_pn_array(lam):
+    # the row-wise running sum of k P_k / mu against a plain dot product of
+    # the same probabilities; they add in another order, so the tolerance
+    # is K rounding steps
+    model = Mm1Model(lam, 1.0)
+    for t in (0.3, 7.0, 60.0):
+        K = int(mm1._phi_truncation_order(model, np.array([t]))[0])
+        p = pn_array(model, t, K)
+        value, p0 = mm1._phi_and_p0(model, np.array([t]))
+        assert p0[0] == p[0]
+        assert value[0] == pytest.approx(np.dot(np.arange(1, K + 1), p[1:]),
+                                         rel=K * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+def test_phi_exact_against_ode_oracle(lam):
+    # the mean of the birth-death chain integrated on 600 states checks the
+    # series' truncation independently of the package's own code
+    model = Mm1Model(lam, 1.0)
+    for t in (0.5, 5.0, 40.0):
+        oracle = birth_death_phi(lam, 1.0, t, n_states=600)
+        assert abs(phi_exact(model, t) - oracle) <= 1e-10
 
 
 def test_phi_truncation_cap():
