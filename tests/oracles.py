@@ -116,6 +116,19 @@ def renewal_by_recursion(cdf_values) -> np.ndarray:
     return H
 
 
+def phi_by_midpoint_sums(q, H) -> np.ndarray:
+    """phi_i = q_i + sum_{j=1}^{i} (H_j - H_{j-1}) (q_{i-j} + q_{i-j+1}) / 2,
+    summed directly one point at a time: q against dH, with the unit atom
+    at 0 and each cell's increment of H at the cell's midpoint."""
+    q = np.asarray(q, dtype=float)
+    dH = np.diff(np.asarray(H, dtype=float))  # H_j - H_{j-1}, j = 1 .. n-1
+    phi = q.copy()
+    for i in range(1, len(q)):
+        # q_{i-j} and q_{i-j+1} for j = 1 .. i
+        phi[i] += np.dot(dH[:i], 0.5 * (q[i - 1 :: -1] + q[i:0:-1]))
+    return phi
+
+
 def workload_by_lindley(epochs, services, times) -> np.ndarray:
     """Workload from empty at sorted times, by walking the sorted arrivals:
     a gap drains the workload at unit rate but not below 0, and an arrival

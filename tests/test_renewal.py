@@ -1,4 +1,5 @@
 import errno
+import functools
 import os
 import stat
 
@@ -6,13 +7,16 @@ import numpy as np
 import pytest
 
 from transient_queue import (Curve, CycleMoments, Erlang, Exponential,
-                             QueueModel, TimeGrid, asymptote_remainder,
-                             cycle_moments, phi_via_renewal,
-                             read_curve_csv, renewal_density, renewal_function,
-                             renewal_residual, write_curve_csv)
-from transient_queue.renewal import COARSE_GRID_WARNING
+                             McConfig, QueueModel, TimeGrid,
+                             asymptote_remainder, cycle_moments,
+                             first_cycle_study, parse_service_spec,
+                             phi_via_renewal, read_curve_csv, renewal_density,
+                             renewal_function, renewal_residual,
+                             write_curve_csv)
+from transient_queue.renewal import _BLOCK, COARSE_GRID_WARNING
 
-from oracles import erlang2_renewal, poisson_renewal, renewal_by_recursion
+from oracles import (erlang2_renewal, phi_by_midpoint_sums, poisson_renewal,
+                     renewal_by_recursion)
 
 
 def make_grid(step, t_max):
@@ -101,20 +105,46 @@ def test_renewal_function_validates_cdf():
         renewal_function(Curve(grid, bad))
 
 
-# first-cell: all mass in (0, step], so dF_1 = 1 and the pivot is 1/2
+@functools.cache
+def heavy_first_cycles(step, n_points):
+    """The first cycles of the benchmark's heavy-tailed queue (hyperexp
+    service, rho = 0.9, 1536 replications) on t <= (n_points - 1) * step."""
+    service = parse_service_spec("hyperexp:w=0.5|0.5,rate=0.6|3")
+    cfg = McConfig(replications=1536, base_seed=14,
+                   grid=TimeGrid(step, n_points))
+    return first_cycle_study(QueueModel(0.9, service), cfg)
+
+
+# first-cell: all mass in (0, step], so dF_1 = 1 and the pivot is 1/2;
+# hyperexp: the empirical CDF of 1536 heavy-tailed first cycles, step 0.01
 CDFS = {"exp": lambda t: Exponential(1.0).cdf(t),
         "erlang2": lambda t: Erlang(2, 1.0).cdf(t),
-        "first-cell": lambda t: (t > 0).astype(float)}
+        "first-cell": lambda t: (t > 0).astype(float),
+        "atom-0.5": lambda t: (t >= 0.5).astype(float),
+        "hyperexp": lambda t:
+            heavy_first_cycles(0.01, 8001).cycle_cdf.values[: len(t)]}
 
 
+# block and dyadic-span edges: blocks start at t_1, so n = k * _BLOCK + 1
+# ends the k-th block and sends the pushes of the span it closes
 @pytest.mark.parametrize("law", sorted(CDFS))
-@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 8001])
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, _BLOCK - 1, _BLOCK,
+                               _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1,
+                               4 * _BLOCK + 1, 8 * _BLOCK + 1, 8001])
 def test_renewal_function_matches_pointwise_recursion(law, n):
     grid = TimeGrid(step=0.01, n_points=n)
     F = CDFS[law](grid.times())
     H = renewal_function(Curve(grid, F)).values
     expected = renewal_by_recursion(F)
     assert np.all(np.abs(H - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("law", sorted(CDFS))
+def test_renewal_residual_at_8001_points(law):
+    grid = TimeGrid(step=0.01, n_points=8001)
+    F = Curve(grid, CDFS[law](grid.times()))
+    H = renewal_function(F)
+    assert np.abs(renewal_residual(H, F)).max() <= 1e-14 * H.values[-1]
 
 
 def test_step_halving_order():
@@ -239,6 +269,44 @@ def test_phi_via_renewal_stderr_propagation(erlang_case):
     assert phi.stderr is not None
     assert np.all(phi.stderr >= 0.1 - 1e-12)
     assert np.allclose(phi.stderr, 0.1 * phi.values, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 801, 4001])
+def test_phi_via_renewal_matches_midpoint_sums(n):
+    # dH of the benchmark's heavy-tailed first cycles (step 0.02); H on the
+    # first n points is the renewal function of the shorter grid
+    H_full = renewal_function(heavy_first_cycles(0.02, 4001).cycle_cdf)
+    grid = TimeGrid(step=0.02, n_points=n)
+    H = Curve(grid, H_full.values[:n])
+    rng = np.random.default_rng(n)
+    q = Curve(grid, rng.uniform(0.0, 2.0, n), stderr=rng.uniform(0.0, 0.1, n))
+    phi = phi_via_renewal(q, H)
+    for got, vec in ((phi.values, q.values), (phi.stderr, q.stderr)):
+        expected = phi_by_midpoint_sums(vec, H.values)
+        assert np.abs(got - expected).max() <= 1e-13 * expected.max()
+
+
+def test_phi_via_renewal_zero_stderr_prefix():
+    # q known exactly (stderr 0) over its first points: the sums there are
+    # exactly 0, and their rounding must not come out below 0
+    H = renewal_function(heavy_first_cycles(0.02, 4001).cycle_cdf)
+    n = H.grid.n_points
+    rng = np.random.default_rng(3)
+    stderr = rng.uniform(0.0, 0.1, n)
+    stderr[: n // 2] = 0.0
+    q = Curve(H.grid, rng.uniform(0.0, 2.0, n), stderr=stderr)
+    phi = phi_via_renewal(q, H)
+    assert np.all(phi.stderr >= 0.0)
+    assert phi.values[0] == q.values[0]
+    assert phi.stderr[0] == 0.0
+
+
+def test_phi_via_renewal_rejects_negative_q(erlang_case):
+    _, H = erlang_case
+    values = np.ones(H.grid.n_points)
+    values[7] = -1e-3
+    with pytest.raises(ValueError, match="nonnegative"):
+        phi_via_renewal(Curve(H.grid, values), H)
 
 
 def test_curve_csv_round_trip(tmp_path):
