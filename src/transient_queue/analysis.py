@@ -193,7 +193,8 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
                 sim_curve, phi_inf, _default_fit_window(grid.horizon),
                 PURE_EXPONENTIAL).as_dict()
     except (UnfitError, mm1.SeriesTruncationError) as exc:
-        # near rho = 1, 7/s* is far out and the series may exceed its cap
+        # near rho = 1, 7/s* is far out: the series' start order there
+        # passes its cap from about rho = 0.9995 (by the start-order rule)
         report["fit"] = {"error": str(exc)}
 
     verdict = {}

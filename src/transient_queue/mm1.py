@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _PN_TAIL_CAP = 200_000
-_PHI_TERM_CAP = 100_000
 # the series of many time points run together; each array of one batch holds
 # at most this many (point, order) entries, so memory does not grow with the
 # grid
@@ -23,7 +22,8 @@ _BATCH_ENTRIES = 1 << 15
 
 
 class SeriesTruncationError(RuntimeError):
-    """A series could not be truncated within tolerance; carries the bound."""
+    """A series could not be truncated within its cap; carries the ratio of
+    its topmost summands to its largest at the last try (inf if none)."""
 
     def __init__(self, message: str, achieved_bound: float):
         super().__init__(message)
@@ -155,82 +155,95 @@ def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     return _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1]
 
 
+def _summand_rows(model: Mm1Model, t: np.ndarray, n_min):
+    """Yield (positions, down, up, cuts) until every t_j > 0 is done, where
+    row i belongs to position j = positions[i] and holds, for k = 0 .. cuts_i,
+
+      up[i, k]   = e^{-(lam+mu)t} r^k I_k(x)
+      down[i, k] = e^{-(lam+mu)t} r^{-k} I_k(x)
+
+    with x = 2 sqrt(lam mu) t_j and r = sqrt(mu/lam); past cuts_i both are 0.
+    Every product is assembled as exp(sum of logs), so huge r^k never meets
+    a tiny scaled Bessel value head-on; each summand is <= 1 by the
+    generating identity.  The up summands are a multiple of the Skellam law
+    of Poisson(mu t) - Poisson(lam t), and the down summands are smaller,
+    so the cut is ``_miller_start_order(x, log r)``, about 10 standard
+    deviations past the peak at (mu - lam) t, or n_min if that is higher.
+    A point whose topmost five summands are not negligible against the
+    largest is run again at twice its cut; one whose order would pass
+    _PN_TAIL_CAP raises before any of its rows is built.
+    """
+    lam, mu = model.arrival_rate, model.service_rate
+    x_all = 2.0 * math.sqrt(lam * mu) * t
+    decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
+    log_r = 0.5 * math.log(mu / lam)
+    # the guard reads the five orders up to the cut
+    need = np.maximum(_miller_start_order(x_all, log_r), 4)
+    achieved = np.full(len(t), math.inf)
+    pending = np.arange(len(t))
+    while pending.size:
+        over = pending[need[pending] > _PN_TAIL_CAP]
+        if over.size:
+            j = over[0]
+            raise SeriesTruncationError(
+                f"the series at t = {t[j]:.6g} needs order {need[j]}, past "
+                f"the cap {_PN_TAIL_CAP}", float(achieved[j]))
+        cuts = np.maximum(need, n_min)
+        retry = np.zeros(len(t), dtype=bool)
+        for batch in _batches(cuts[pending] + 22):
+            idx = pending[batch]
+            cut = cuts[idx]
+            log_scaled = _log_bessel_rows(x_all[idx], cut + 20)
+            minus_decay = -decay_all[idx][:, None]
+            k = np.arange(int(cut.max()) + 1)
+            up = minus_decay + k * log_r
+            up += log_scaled[:, : k.size]
+            down = minus_decay - k * log_r
+            down += log_scaled[:, : k.size]
+            del log_scaled
+            past = k > cut[:, None]
+            up[past] = -np.inf
+            down[past] = -np.inf
+            # the guard compares logs: a cut below the peak can leave every
+            # summand underflowed, and values would then pass any test
+            top = up[np.arange(len(idx))[:, None], cut[:, None] - np.arange(5)]
+            ratio = top.max(axis=1) - up.max(axis=1)
+            ok = ratio <= math.log(2e-17)  # five of them below 1e-16
+            if not ok.all():
+                bad = idx[~ok]
+                achieved[bad] = np.exp(ratio[~ok])
+                need[bad] = 2 * cut[~ok]
+                retry[bad] = True
+                if not ok.any():
+                    continue
+                idx, down, up, cut = idx[ok], down[ok], up[ok], cut[ok]
+            np.exp(up, out=up)
+            np.exp(down, out=down)
+            yield idx, down, up, cut
+            del down, up  # free this batch before the next one is built
+        pending = np.flatnonzero(retry)
+
+
 def _pn_rows(model: Mm1Model, t: np.ndarray, n_max: np.ndarray):
     """Yield (positions, rows) until every t_j > 0 is done, where row i
     holds P_n(t_j) for n = 0 .. n_max_j of position j = positions[i]
     (entries past n_max_j are meaningless).
 
-    P_n(t) = direct[n] + (1-rho) rho^n tail[n] with
-      direct[n] = e^{-(lam+mu)t} [ r^{-n} I_n(x) + r^{-n+1} I_{n+1}(x) ]
-      tail[n]   = e^{-(lam+mu)t} sum_{k >= n+2} r^k I_k(x)
-    where x = 2 sqrt(lam mu) t and r = sqrt(mu/lam).  Every product is
-    assembled as exp(sum of logs), so huge r^k never meets a tiny scaled
-    Bessel value head-on; each summand is <= 1 by the generating identity.
-    The summands are a multiple of the Skellam law of
-    Poisson(mu t) - Poisson(lam t), so the tail is cut at
-    ``_miller_start_order(x, log r)``, about 10 standard deviations past
-    the peak at (mu - lam) t, or at n_max + 2 if that is higher.  A point
-    whose topmost five summands are not negligible against the suffix sums
-    they feed is run again with a wider margin.
+    In the summands of ``_summand_rows``,
+      P_n(t) = down[n] + (mu/lam) down[n+1] + (1-rho) rho^n sum_{k>=n+2} up[k],
+    the suffix sums running down each row from its own cut.
     """
     lam, mu, rho = model.arrival_rate, model.service_rate, model.rho
-    x_all = 2.0 * math.sqrt(lam * mu) * t
-    decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
-    log_r = 0.5 * math.log(mu / lam)
-    base = np.maximum(_miller_start_order(x_all, log_r), n_max + 2)
-    margin = np.zeros(len(t), dtype=np.int64)
-    pending = np.arange(len(t))
-    while pending.size:
-        retry = np.zeros(len(t), dtype=bool)
-        for batch in _batches(base[pending] + margin[pending] + 22):
-            idx = pending[batch]
-            n_arr = base[idx] + margin[idx]
-            log_scaled = _log_bessel_rows(x_all[idx], n_arr + 20)
-            minus_decay = -decay_all[idx][:, None]
-            # the direct terms come first, so that the Bessel logs are freed
-            # before the tail is built: at most three full arrays live
-            n = np.arange(int(n_max[idx].max()) + 1)
-            probs = minus_decay - n * log_r   # the direct terms, then P_n
-            probs += log_scaled[:, : n.size]
-            np.exp(probs, out=probs)
-            upper = minus_decay - (n - 1) * log_r
-            upper += log_scaled[:, 1 : n.size + 1]
-            probs += np.exp(upper, out=upper)
-            del upper
-            k = np.arange(int(n_arr.max()) + 1)
-            # the summands, then in place their suffix sums
-            tail = minus_decay + k * log_r
-            tail += log_scaled[:, : k.size]
-            del log_scaled
-            with np.errstate(over="ignore"):  # only past a row's own n_arr
-                np.exp(tail, out=tail)
-            tail[k > n_arr[:, None]] = 0.0
-            np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])
-            # adequate truncation: the topmost summands must be negligible
-            # against every suffix sum they feed (5-term guard); past n_arr
-            # the summands are 0, so the suffix sum at n_arr - 4 is their sum
-            top = tail[np.arange(len(idx)), n_arr - 4]
-            ok = top <= 1e-16 * np.maximum(tail[:, 0], 1e-300)
-            if not ok.all():
-                bad = ~ok
-                over = bad & (n_arr > _PN_TAIL_CAP)
-                if over.any():
-                    raise SeriesTruncationError(
-                        f"tail of the state-probability series not converged "
-                        f"by order {n_arr[over][0]}", float(top[over][0]))
-                margin[idx[bad]] = np.maximum(2 * margin[idx[bad]],
-                                              n_arr[bad] // 2)
-                retry[idx[bad]] = True
-                if not ok.any():
-                    continue
-            with np.errstate(over="ignore"):
-                geo = rho**n
-            tail = tail[:, 2 : n.size + 2]
-            tail *= (1.0 - rho) * geo
-            probs += tail
-            del tail
-            yield (idx, probs) if ok.all() else (idx[ok], probs[ok])
-        pending = np.flatnonzero(retry)
+    for idx, down, up, _ in _summand_rows(model, t, n_max + 2):
+        n = np.arange(int(n_max[idx].max()) + 1)
+        probs = down[:, 1 : n.size + 1] * (mu / lam)
+        probs += down[:, : n.size]
+        np.cumsum(up[:, ::-1], axis=1, out=up[:, ::-1])
+        tail = up[:, 2 : n.size + 2]
+        tail *= (1.0 - rho) * rho**n
+        probs += tail
+        del down, up, tail
+        yield idx, probs
 
 
 def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
@@ -247,18 +260,12 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
         return rows[0, : n_max + 1]
 
 
-def _phi_truncation_order(model: Mm1Model, t: np.ndarray) -> np.ndarray:
-    lam, rho = model.arrival_rate, model.rho
-    bulk = lam * t + 10.0 * np.sqrt(lam * t + 1.0) + 20.0
-    geometric = 30.0 / (-math.log(rho))
-    return np.ceil(bulk + geometric) + 20
-
-
 def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
     """Mean virtual waiting time at t from the transient state probabilities.
 
-    Default mode sums P_k(t) k/mu over k >= 1 (the mean of the mixture law
-    of the workload) and converges to the Pollaczek-Khinchine value.
+    Default mode is sum_{k>=1} k P_k(t) / mu (the mean of the mixture law
+    of the workload), evaluated as one weighted sum over the Bessel orders
+    (see ``_phi_and_p0``); it converges to the Pollaczek-Khinchine value.
     ``paper_literal`` additionally adds the P_0(t) term; the curve then
     approaches (1-rho) + rho/(mu(1-rho)), the constant of
     ``phi_asymptotic``.
@@ -271,49 +278,41 @@ def _phi_and_p0(model: Mm1Model, t: np.ndarray):
     """``phi_exact``'s default values and P_0 at the times ``t``, from one
     series evaluation per point; the paper-literal values are their sum.
 
-    The state probabilities are summed up to an order K chosen per point
-    and doubled until the geometric bound on what lies beyond K is small.
+    Writing P_n in the summands of ``_summand_rows`` and summing n P_n over
+    n first turns both into one weighted sum over the Bessel orders k,
+    with S_m = sum_{n=1..m} n rho^n:
+
+      mu phi = sum_{k>=1} down[k] (k + (k-1) mu/lam)
+               + (1-rho) sum_{k>=3} up[k] S_{k-2}
+      P_0    = down[0] + (mu/lam) down[1] + (1-rho) sum_{k>=2} up[k]
+
+    so both end where the summands do.  No weight is negative, so nothing
+    cancels.  S and phi's sum are running sums along their rows, read at
+    each row's own cut, and P_0's sum runs down from it, past which the
+    summands are 0, so a point's bits do not depend on its batch.
     """
     bad = ~(np.isfinite(t) & (t >= 0))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
-    mu, rho = model.service_rate, model.rho
+    lam, mu, rho = model.arrival_rate, model.service_rate, model.rho
     value = np.zeros(len(t))
     p0 = np.ones(len(t))
     pending = np.flatnonzero(t > 0)
-    K = np.zeros(len(t))
-    K[pending] = _phi_truncation_order(model, t[pending])
-    while pending.size:
-        over = K[pending] > _PHI_TERM_CAP
-        if over.any():
-            raise SeriesTruncationError(
-                f"phi series truncation index exceeded cap {_PHI_TERM_CAP}",
-                float(K[pending][over][0]))
-        orders = K[pending].astype(np.int64)
-        weights = np.arange(1, int(orders.max()) + 1) / mu
-        retry = np.zeros(len(t), dtype=bool)
-        for positions, rows in _pn_rows(model, t[pending], orders):
-            j = pending[positions]
-            k = orders[positions]
-            # geometric tail bound: beyond K the probabilities sit below
-            # M rho^k (1-rho); sum_{k>K} k rho^k has a closed form
-            level = rho**k * (1.0 - rho)
-            M = np.divide(rows[np.arange(len(k)), k], level,
-                          out=np.ones(len(k)), where=level > 0)
-            np.maximum(M, 1.0, out=M)
-            tail_bound = (M * (1.0 - rho) / mu * rho ** (k + 1)
-                          * ((k + 1) * (1.0 - rho) + rho) / (1.0 - rho) ** 2)
-            done = tail_bound < 1e-10
-            retry[j[~done]] = True
-            # the mean, as a running sum along each row read at its own K
-            terms = rows[:, 1:]
-            terms *= weights[: terms.shape[1]]
-            np.cumsum(terms, axis=1, out=terms)
-            value[j[done]] = terms[done, k[done] - 1]
-            p0[j[done]] = rows[done, 0]
-            del rows, terms  # free this batch before the next one is built
-        pending = np.flatnonzero(retry)
-        K[pending] *= 2
+    for positions, down, up, cut in _summand_rows(model, t[pending], 0):
+        j = pending[positions]
+        # the suffix sum of up from the top, as _pn_rows forms it
+        p0[j] = (down[:, 0] + (mu / lam) * down[:, 1]
+                 + (1.0 - rho) * np.cumsum(up[:, :1:-1], axis=1)[:, -1])
+        k = np.arange(up.shape[1])
+        up[:, :3] = 0.0
+        up[:, 3:] *= (1.0 - rho) * np.cumsum(k[1:-2] * rho ** k[1:-2])
+        weight = k + (k - 1) * (mu / lam)
+        weight[0] = 0.0
+        down *= weight
+        down += up
+        np.cumsum(down, axis=1, out=down)
+        value[j] = down[np.arange(len(j)), cut] / mu
+        del down, up  # free this batch before the next one is built
     return value, p0
 
 

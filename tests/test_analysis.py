@@ -236,12 +236,21 @@ def test_compare_methods_reports_coarse_grid():
 
 
 def test_compare_methods_reports_a_fit_the_series_cannot_reach(monkeypatch):
-    # the compare grid (t <= 10) stays under the series cap; the fit's own
-    # curve out to 7/s* = 82 does not
-    monkeypatch.setattr(mm1, "_PHI_TERM_CAP", 150)
+    # the compare grid (t <= 10) needs series orders up to about 64, under
+    # the cap; the fit's own curve out to 7/s* = 82 needs 151 past t = 64.1
+    monkeypatch.setattr(mm1, "_PN_TAIL_CAP", 150)
     report = compare_methods(MM1, McConfig(2_000, 3, grid(0.5, 10.0)))
     assert "cap" in report["fit"]["error"]
     assert report["methods"] == ["exact_series", "simulation", "renewal"]
+
+
+def test_compare_methods_fits_mm1_in_heavy_traffic():
+    # at rho = 0.985 the fit's curve runs to 7/s* = 1.24e5, where the
+    # series needs about 6,800 orders, far under its cap
+    report = compare_methods(QueueModel(0.985, Exponential(1.0)),
+                             McConfig(2_000, 3, grid(0.5, 10.0)))
+    assert "error" not in report["fit"]
+    assert report["fit"]["rel_err"] <= 0.05
 
 
 def test_compare_methods_md1():

@@ -196,19 +196,18 @@ def _spy(monkeypatch, name):
     (MM1, TimeGrid(0.75, 281), "batches"),
     # points whose tail needs a wider margin, run again in a later batch
     (Mm1Model(0.01, 1.0), TimeGrid(50.0, 21), "margin"),
-    # points whose truncation order K is doubled
-    (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3), "doubled-K"),
-], ids=["mixed", "margin", "doubled-K"])
+    # heavy traffic, where the geometric factor rho^n barely decays
+    (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3), "heavy"),
+], ids=["mixed", "margin", "heavy"])
 def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
                                                     monkeypatch):
     if expect == "margin":
         reference = phi_curve(model, grid).values
-        # no start order past the n_max + 2 floor: the peak of the tail's
-        # summands at (mu - lam) t lies beyond K, so the guard must retry
+        # no start order past the guard's floor: the peak of the summands
+        # at (mu - lam) t lies beyond the cut, so the guard must retry
         monkeypatch.setattr(mm1, "_miller_start_order",
                             lambda x, log_r=0.0: np.zeros(np.shape(x), int))
     bessel_calls = _spy(monkeypatch, "_log_bessel_rows")
-    pn_calls = _spy(monkeypatch, "_pn_rows")
     curve = phi_curve(model, grid)
     xs = np.concatenate([x for x, _ in bessel_calls])
     if expect == "batches":
@@ -218,23 +217,26 @@ def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
         assert len(np.unique(xs)) < len(xs)        # some point ran again
         np.testing.assert_allclose(curve.values, reference, rtol=1e-12)
     else:
-        assert len(pn_calls) >= 2                  # a second pass, on K ...
-        first, later = pn_calls[0][2], pn_calls[1][2]
-        assert set(later.tolist()) <= set((2 * first).tolist())  # doubled
+        # one pass per point: the series ends where its summands do, with
+        # no second pass on a wider order
+        assert len(xs) == len(np.unique(xs)) == np.count_nonzero(grid.times())
     for literal in (False, True):
         curve = phi_curve(model, grid, paper_literal=literal)
         for i, t in enumerate(grid.times()):
             assert curve.values[i] == phi_exact(model, float(t), literal)
 
 
-@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9, 0.999])
 def test_phi_and_p0_are_the_sums_of_pn_array(lam):
-    # the row-wise running sum of k P_k / mu against a plain dot product of
-    # the same probabilities; they add in another order, so the tolerance
-    # is K rounding steps
+    # the weighted Bessel sums against a plain dot product of the state
+    # probabilities, cut at the first K with rho^K K / (1-rho)^2 < 1e-18,
+    # so that the geometric tail sum_{k>K} k rho^k (1-rho) is negligible;
+    # they add in another order, so the tolerance is K rounding steps
     model = Mm1Model(lam, 1.0)
-    for t in (0.3, 7.0, 60.0):
-        K = int(mm1._phi_truncation_order(model, np.array([t]))[0])
+    K = 1
+    while lam**K * K / (1.0 - lam) ** 2 >= 1e-18:
+        K += 1
+    for t in (30.0, 60.0) if lam == 0.999 else (0.3, 7.0, 60.0):
         p = pn_array(model, t, K)
         value, p0 = mm1._phi_and_p0(model, np.array([t]))
         assert p0[0] == p[0]
@@ -242,7 +244,7 @@ def test_phi_and_p0_are_the_sums_of_pn_array(lam):
                                          rel=K * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9, 0.95])
 def test_phi_exact_against_ode_oracle(lam):
     # the mean of the birth-death chain integrated on 600 states checks the
     # series' truncation independently of the package's own code
@@ -253,10 +255,15 @@ def test_phi_exact_against_ode_oracle(lam):
 
 
 def test_phi_truncation_cap():
+    # at t = 3e5 the series needs order 156,729, under the cap, and the gap
+    # to the stationary value is e^{-25,736}: phi is the
+    # Pollaczek-Khinchine value rho / (mu (1 - rho)) = 1
+    assert phi_exact(MM1, 3.0e5) == pytest.approx(1.0, rel=1e-9)
+    # at t = 4e5 it needs order 207,766, past the cap of 200,000
+    with pytest.raises(SeriesTruncationError, match="cap"):
+        phi_exact(MM1, 4.0e5)
     with pytest.raises(SeriesTruncationError):
-        phi_exact(MM1, 3.0e5)
-    with pytest.raises(SeriesTruncationError):
-        phi_curve(MM1, TimeGrid(1.0e5, 4))
+        phi_curve(MM1, TimeGrid(1.0e5, 5))
 
 
 # -------------------------------------------------------------- asymptotic
