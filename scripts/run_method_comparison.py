@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     model = QueueModel(args.lam, parse_service_spec(args.service))
-    grid = TimeGrid(step=args.step, n_points=int(args.t_max / args.step) + 1)
+    grid = TimeGrid.covering(args.t_max, args.step)
     cfg = McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
     print(f"comparing methods: lambda={args.lam} service={args.service} "
           f"reps={args.reps} seed={args.seed}")
@@ -48,7 +48,8 @@ def main() -> int:
     for key in ("max_z", "frac_within_3stderr", "frac_two_method_agree",
                 "max_rel_gap"):
         if key in report:
-            print(f"  {key}: {report[key]:.4g}")
+            value = report[key]
+            print(f"  {key}: {'null' if value is None else f'{value:.4g}'}")
     print(f"  verdict: {report['verdict']}")
     return 0
 

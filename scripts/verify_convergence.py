@@ -27,7 +27,7 @@ def main() -> int:
 
     model = Mm1Model(args.lam, args.mu)
     rate_ref = theoretical_rate(model)
-    grid = TimeGrid(step=args.step, n_points=int(args.t_max / args.step) + 1)
+    grid = TimeGrid.covering(args.t_max, args.step)
     print(f"building exact curve: lambda={args.lam} mu={args.mu} "
           f"t<={args.t_max} step={args.step} ...")
     curve = phi_curve(model, grid)

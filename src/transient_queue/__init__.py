@@ -18,9 +18,8 @@ from .distributions import (DIVERGENT, Deterministic, DistributionSpecError,
 from .mm1 import (Mm1Model, SeriesTruncationError, bessel_i_scaled_array,
                   log_bessel_i_scaled, phi_asymptotic, phi_curve, phi_exact,
                   pn_array, theoretical_rate)
-from .renewal import (Curve, TimeGrid, asymptote_remainder, phi_via_renewal,
-                      read_curve_csv, renewal_density, renewal_function,
-                      renewal_residual, write_curve_csv)
+from .renewal import (Curve, TimeGrid, phi_via_renewal, read_curve_csv,
+                      renewal_function, renewal_residual, write_curve_csv)
 from .simulate import (CyclePath, CycleTruncationError, FirstCycleStats,
                        McConfig, estimate_phi, estimate_stationary,
                        first_cycle_study, simulate_cycle)

@@ -39,10 +39,10 @@ def _make_grid(t_max: float, step: float) -> TimeGrid:
     for flag, value in (("--t-max", t_max), ("--step", step)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{flag} must be finite and > 0, got {value}")
-    n_points = int(math.floor(t_max / step + 1e-9)) + 1
-    if n_points < 2:
-        raise ValidationError("--t-max must cover at least one step")
-    return TimeGrid(step=step, n_points=n_points)
+    try:
+        return TimeGrid.covering(t_max, step)
+    except ValueError as exc:  # fewer than two points
+        raise ValidationError("--t-max must cover at least one step") from exc
 
 
 def _make_model(args) -> QueueModel:

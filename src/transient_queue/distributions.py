@@ -103,7 +103,7 @@ class Exponential(ServiceDistribution):
         return rng.exponential(1.0 / self.rate, size=size)
 
     def spec_string(self) -> str:
-        return f"exp:rate={self.rate:g}"
+        return f"exp:rate={_number(self.rate)}"
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class Deterministic(ServiceDistribution):
         return np.full(size, self.value)
 
     def spec_string(self) -> str:
-        return f"det:value={self.value:g}"
+        return f"det:value={_number(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class Erlang(ServiceDistribution):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
     def spec_string(self) -> str:
-        return f"erlang:shape={self.shape},rate={self.rate:g}"
+        return f"erlang:shape={self.shape},rate={_number(self.rate)}"
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,8 @@ class HyperExponential(ServiceDistribution):
         return rng.exponential(scales[idx])
 
     def spec_string(self) -> str:
-        w = "|".join(f"{v:g}" for v in self.weights)
-        r = "|".join(f"{v:g}" for v in self.rates)
+        w = "|".join(map(_number, self.weights))
+        r = "|".join(map(_number, self.rates))
         return f"hyperexp:w={w},rate={r}"
 
 
@@ -274,7 +274,13 @@ class Uniform(ServiceDistribution):
         return rng.uniform(self.lo, self.hi, size=size)
 
     def spec_string(self) -> str:
-        return f"uniform:lo={self.lo:g},hi={self.hi:g}"
+        return f"uniform:lo={_number(self.lo)},hi={_number(self.hi)}"
+
+
+def _number(value: float) -> str:
+    """``:g``'s six digits if they parse back to ``value``, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def _parse_fields(body: str, spec: str) -> dict:

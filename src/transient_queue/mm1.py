@@ -23,7 +23,7 @@ _BATCH_ENTRIES = 1 << 15
 
 class SeriesTruncationError(RuntimeError):
     """A series could not be truncated within its cap; carries the ratio of
-    its topmost summands to its largest at the last try (inf if none)."""
+    its topmost summands to its largest (inf if no row was built)."""
 
     def __init__(self, message: str, achieved_bound: float):
         super().__init__(message)
@@ -169,9 +169,10 @@ def _summand_rows(model: Mm1Model, t: np.ndarray, n_min):
     of Poisson(mu t) - Poisson(lam t), and the down summands are smaller,
     so the cut is ``_miller_start_order(x, log r)``, about 10 standard
     deviations past the peak at (mu - lam) t, or n_min if that is higher.
-    A point whose topmost five summands are not negligible against the
-    largest is run again at twice its cut; one whose order would pass
-    _PN_TAIL_CAP raises before any of its rows is built.
+    Each point is run once: one whose order would pass _PN_TAIL_CAP raises
+    before any row is built, and one whose topmost five summands are not
+    negligible against the largest raises, so an undersized cut is never a
+    silent number.
     """
     lam, mu = model.arrival_rate, model.service_rate
     x_all = 2.0 * math.sqrt(lam * mu) * t
@@ -179,49 +180,40 @@ def _summand_rows(model: Mm1Model, t: np.ndarray, n_min):
     log_r = 0.5 * math.log(mu / lam)
     # the guard reads the five orders up to the cut
     need = np.maximum(_miller_start_order(x_all, log_r), 4)
-    achieved = np.full(len(t), math.inf)
-    pending = np.arange(len(t))
-    while pending.size:
-        over = pending[need[pending] > _PN_TAIL_CAP]
-        if over.size:
-            j = over[0]
+    over = np.flatnonzero(need > _PN_TAIL_CAP)
+    if over.size:
+        j = over[0]
+        raise SeriesTruncationError(
+            f"the series at t = {t[j]:.6g} needs order {need[j]}, past "
+            f"the cap {_PN_TAIL_CAP}", math.inf)
+    cuts = np.maximum(need, n_min)
+    for idx in _batches(cuts + 22):
+        cut = cuts[idx]
+        log_scaled = _log_bessel_rows(x_all[idx], cut + 20)
+        minus_decay = -decay_all[idx][:, None]
+        k = np.arange(int(cut.max()) + 1)
+        up = minus_decay + k * log_r
+        up += log_scaled[:, : k.size]
+        down = minus_decay - k * log_r
+        down += log_scaled[:, : k.size]
+        del log_scaled
+        past = k > cut[:, None]
+        up[past] = -np.inf
+        down[past] = -np.inf
+        # the guard compares logs: a cut below the peak can leave every
+        # summand underflowed, and values would then pass any test
+        top = up[np.arange(len(idx))[:, None], cut[:, None] - np.arange(5)]
+        ratio = top.max(axis=1) - up.max(axis=1)
+        bad = np.flatnonzero(~(ratio <= math.log(2e-17)))  # five below 1e-16
+        if bad.size:
+            i = bad[0]
             raise SeriesTruncationError(
-                f"the series at t = {t[j]:.6g} needs order {need[j]}, past "
-                f"the cap {_PN_TAIL_CAP}", float(achieved[j]))
-        cuts = np.maximum(need, n_min)
-        retry = np.zeros(len(t), dtype=bool)
-        for batch in _batches(cuts[pending] + 22):
-            idx = pending[batch]
-            cut = cuts[idx]
-            log_scaled = _log_bessel_rows(x_all[idx], cut + 20)
-            minus_decay = -decay_all[idx][:, None]
-            k = np.arange(int(cut.max()) + 1)
-            up = minus_decay + k * log_r
-            up += log_scaled[:, : k.size]
-            down = minus_decay - k * log_r
-            down += log_scaled[:, : k.size]
-            del log_scaled
-            past = k > cut[:, None]
-            up[past] = -np.inf
-            down[past] = -np.inf
-            # the guard compares logs: a cut below the peak can leave every
-            # summand underflowed, and values would then pass any test
-            top = up[np.arange(len(idx))[:, None], cut[:, None] - np.arange(5)]
-            ratio = top.max(axis=1) - up.max(axis=1)
-            ok = ratio <= math.log(2e-17)  # five of them below 1e-16
-            if not ok.all():
-                bad = idx[~ok]
-                achieved[bad] = np.exp(ratio[~ok])
-                need[bad] = 2 * cut[~ok]
-                retry[bad] = True
-                if not ok.any():
-                    continue
-                idx, down, up, cut = idx[ok], down[ok], up[ok], cut[ok]
-            np.exp(up, out=up)
-            np.exp(down, out=down)
-            yield idx, down, up, cut
-            del down, up  # free this batch before the next one is built
-        pending = np.flatnonzero(retry)
+                f"the series at t = {t[idx[i]]:.6g} is not negligible at its "
+                f"cut {cut[i]}", float(np.exp(ratio[i])))
+        np.exp(up, out=up)
+        np.exp(down, out=down)
+        yield idx, down, up, cut
+        del down, up  # free this batch before the next one is built
 
 
 def _pn_rows(model: Mm1Model, t: np.ndarray, n_max: np.ndarray):

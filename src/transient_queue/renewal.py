@@ -42,6 +42,12 @@ class TimeGrid:
         if self.n_points < 2:
             raise ValueError(f"grid needs >= 2 points, got {self.n_points}")
 
+    @classmethod
+    def covering(cls, t_max: float, step: float) -> "TimeGrid":
+        """The grid of ``step`` up to its last point at or below ``t_max``,
+        allowing 1e-9 steps of rounding in t_max / step."""
+        return cls(step=step, n_points=int(math.floor(t_max / step + 1e-9)) + 1)
+
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.n_points)
 
@@ -238,22 +244,6 @@ def renewal_residual(H: Curve, cycle_cdf: Curve) -> np.ndarray:
     F = cycle_cdf.values
     h = H.values
     return h - 1.0 - _stieltjes(h, np.diff(F, prepend=F[0]))
-
-
-def renewal_density(H: Curve) -> Curve:
-    """Central-difference derivative of H (one-sided at the endpoints)."""
-    return Curve(H.grid, np.gradient(H.values, H.grid.step))
-
-
-def asymptote_remainder(H: Curve, cm) -> tuple[Curve, Curve]:
-    """Split H into its linear asymptote and the decaying remainder.
-
-    asymptote(t) = t / cycle_mean + cycle_second / (2 cycle_mean^2);
-    remainder = H - asymptote.
-    """
-    t = H.times()
-    asym = t / cm.cycle_mean + cm.cycle_second / (2.0 * cm.cycle_mean**2)
-    return Curve(H.grid, asym), Curve(H.grid, H.values - asym)
 
 
 def phi_via_renewal(q: Curve, H: Curve) -> Curve:

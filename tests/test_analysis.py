@@ -118,6 +118,46 @@ def test_fit_recovers_t32_corrected_model():
     assert fit.model == EXP_WITH_T32_CORRECTED
 
 
+def t32_gap_curve(g, rate, a):
+    """C t^{-3/2} e^{-rate t + a/t} with C = 1, 0 at t = 0: exactly
+    log-linear in the columns of the exp_with_t32_corrected fit."""
+    t = g.times()
+    values = np.zeros_like(t)
+    live = t > 0
+    values[live] = t[live] ** -1.5 * np.exp(-rate * t[live] + a / t[live])
+    return Curve(g, values)
+
+
+@pytest.mark.parametrize("t_hi", [7.0, 7e3, 7e5, 7e6, 7e7])
+def test_fit_t32_corrected_in_any_time_unit(t_hi):
+    # the window [2/r, 7/r] with a = 2/r: in raw t the 1/t column is about
+    # t_hi^-2 of the others, and from t_hi ~ 7e6 least squares dropped it
+    # as rank deficient, erring by +12%; in window units it is the same fit
+    rate = 7.0 / t_hi
+    g = TimeGrid(step=t_hi / 800, n_points=801)
+    t_lo = 2.0 / rate
+    fit = fit_decay_rate(t32_gap_curve(g, rate, t_lo), 0.0, (t_lo, t_hi),
+                         EXP_WITH_T32_CORRECTED)
+    assert fit.rate == pytest.approx(rate, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", [PURE_EXPONENTIAL, EXP_WITH_SQRT_T,
+                                   EXP_WITH_T32_CORRECTED])
+def test_fit_rate_scales_with_the_time_unit(model):
+    # the same values on a time axis scaled by 10^k: the rate scales by
+    # 10^-k, to the rounding of the scaled grid
+    values = t32_gap_curve(TimeGrid(7.0 / 800, 801), 1.0, 2.0).values
+    rates = {}
+    for k in (-3, 0, 3, 7):
+        g = TimeGrid(step=10.0**k * 7.0 / 800, n_points=801)
+        window = (2.0 * 10.0**k, 7.07 * 10.0**k)
+        fit = fit_decay_rate(Curve(g, values), 0.0, window, model)
+        assert fit.n_points == 572  # t = 229 .. 800 steps
+        rates[k] = fit.rate * 10.0**k
+    for k in (-3, 3, 7):
+        assert rates[k] == pytest.approx(rates[0], rel=1e-12)
+
+
 def test_fit_t32_corrected_approaches_theta_from_below():
     # the M/M/1 gap is C t^{-3/2} e^{-theta t} (1 + a/t + ...); with the
     # first correction fitted, the leftover higher orders bias the rate low

@@ -249,6 +249,32 @@ def test_compare_command_writes_report(tmp_path):
     assert "curves" not in report
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_compare_light_load_writes_strict_json(tmp_path):
+    # at lambda = 0.05 no reference point exceeds 0.1, so the renewal gap is
+    # not measured: null, not NaN, and no verdict on it
+    out = tmp_path / "report.json"
+    assert main(["compare", "--lambda", "0.05", "--service", "exp:rate=1",
+                 "--t-max", "0.7", "--step", "0.1", "--reps", "50",
+                 "--seed", "1", "-o", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["grid"]["n_points"] == 8
+    assert report["max_rel_gap"] is None
+    assert report["verdict"]["renewal_within_2pct"] is None
+
+
+def test_model_service_names_the_law_it_ran(tmp_path):
+    out = tmp_path / "busy.json"
+    spec = "hyperexp:w=0.3333333333333333|0.6666666666666667,rate=0.1234567|3"
+    assert main(["busy-period", "--lambda", "0.05", "--service", spec,
+                 "-o", str(out)]) == 0
+    service = json.loads(out.read_text())["model"]["service"]
+    assert service == spec
+
+
 def test_inputs_never_mutated(tmp_path):
     curve_path = tmp_path / "exact.csv"
     main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "10",

@@ -159,8 +159,24 @@ def test_parameter_validation():
 
 
 def test_spec_string_round_trip():
-    for dist in ALL_KINDS:
+    # parameters past six significant digits too, a numpy float among them
+    for dist in ALL_KINDS + [
+            Exponential(rate=1.0 / 3.0),
+            Deterministic(value=2.0 / 3.0),
+            Erlang(shape=3, rate=1.0 / 7.0),
+            HyperExponential(weights=(1.0 / 3.0, 2.0 / 3.0),
+                             rates=(0.1234567, 3.0)),
+            Uniform(lo=0.1234567, hi=1.5),
+            Exponential(rate=np.float64(1.0) / 3.0)]:
         assert parse_service_spec(dist.spec_string()) == dist
+
+
+def test_spec_string_keeps_short_spellings():
+    assert Exponential(1.0).spec_string() == "exp:rate=1"
+    assert HyperExponential((0.5, 0.5), (0.6, 3.0)).spec_string() == (
+        "hyperexp:w=0.5|0.5,rate=0.6|3")
+    assert Uniform(0.5, 1.5).spec_string() == "uniform:lo=0.5,hi=1.5"
+    assert Exponential(1.0 / 3.0).spec_string() == "exp:rate=0.3333333333333333"
 
 
 def test_parse_errors():

@@ -191,39 +191,56 @@ def _spy(monkeypatch, name):
     return calls
 
 
+# a sweep of loads and time scales: lam/mu from 1e-4 to 0.99, mu = 0.2 and 7,
+# 60 times from 1e-6/mu to 1e3/mu
+SWEEP = [(Mm1Model(rho * mu, mu), np.geomspace(1e-6, 1e3, 60) / mu,
+          f"sweep-rho{rho:g}-mu{mu:g}")
+         for rho in (1e-4, 0.01, 0.5, 0.99) for mu in (0.2, 7.0)]
+
+
+def _values(model, grid, literal=False):
+    """phi_curve's values on a TimeGrid, or the same sums at an array of
+    times."""
+    if isinstance(grid, TimeGrid):
+        return phi_curve(model, grid, paper_literal=literal).values
+    value, p0 = mm1._phi_and_p0(model, grid)
+    return value + p0 if literal else value
+
+
 @pytest.mark.parametrize("model, grid, expect", [
     # t = 0, small and large t in one call: several batches of the series
     (MM1, TimeGrid(0.75, 281), "batches"),
-    # points whose tail needs a wider margin, run again in a later batch
+    # a start order of 0 puts the cut below the summands' peak
     (Mm1Model(0.01, 1.0), TimeGrid(50.0, 21), "margin"),
     # heavy traffic, where the geometric factor rho^n barely decays
     (Mm1Model(0.999, 1.0), TimeGrid(30.0, 3), "heavy"),
-], ids=["mixed", "margin", "heavy"])
+    *[(model, times, "sweep") for model, times, _ in SWEEP],
+], ids=["mixed", "margin", "heavy", *[name for *_, name in SWEEP]])
 def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
                                                     monkeypatch):
     if expect == "margin":
-        reference = phi_curve(model, grid).values
         # no start order past the guard's floor: the peak of the summands
-        # at (mu - lam) t lies beyond the cut, so the guard must retry
-        monkeypatch.setattr(mm1, "_miller_start_order",
-                            lambda x, log_r=0.0: np.zeros(np.shape(x), int))
+        # at (mu - lam) t lies beyond the cut, so the guard must raise
+        # rather than return a truncated sum
+        with monkeypatch.context() as patch:
+            patch.setattr(mm1, "_miller_start_order",
+                          lambda x, log_r=0.0: np.zeros(np.shape(x), int))
+            with pytest.raises(SeriesTruncationError) as caught:
+                phi_curve(model, grid)
+        assert caught.value.achieved_bound > 2e-17
     bessel_calls = _spy(monkeypatch, "_log_bessel_rows")
-    curve = phi_curve(model, grid)
+    values = _values(model, grid)
     xs = np.concatenate([x for x, _ in bessel_calls])
+    times = grid.times() if isinstance(grid, TimeGrid) else grid
+    # one pass per point: each positive time gets exactly one row of the
+    # Bessel recurrence, sized once by the start-order rule
+    assert len(xs) == len(np.unique(xs)) == np.count_nonzero(times)
     if expect == "batches":
         assert len(bessel_calls) > 1
-        assert len(np.unique(xs)) == len(xs)
-    elif expect == "margin":
-        assert len(np.unique(xs)) < len(xs)        # some point ran again
-        np.testing.assert_allclose(curve.values, reference, rtol=1e-12)
-    else:
-        # one pass per point: the series ends where its summands do, with
-        # no second pass on a wider order
-        assert len(xs) == len(np.unique(xs)) == np.count_nonzero(grid.times())
     for literal in (False, True):
-        curve = phi_curve(model, grid, paper_literal=literal)
-        for i, t in enumerate(grid.times()):
-            assert curve.values[i] == phi_exact(model, float(t), literal)
+        values = _values(model, grid, literal)
+        for i, t in enumerate(times):
+            assert values[i] == phi_exact(model, float(t), literal)
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.9, 0.999])

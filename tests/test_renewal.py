@@ -6,11 +6,10 @@ import stat
 import numpy as np
 import pytest
 
-from transient_queue import (Curve, CycleMoments, Erlang, Exponential,
-                             McConfig, QueueModel, TimeGrid,
-                             asymptote_remainder, cycle_moments,
+from transient_queue import (Curve, Erlang, Exponential, McConfig,
+                             QueueModel, TimeGrid, cycle_moments,
                              first_cycle_study, parse_service_spec,
-                             phi_via_renewal, read_curve_csv, renewal_density,
+                             phi_via_renewal, read_curve_csv,
                              renewal_function, renewal_residual,
                              write_curve_csv)
 from transient_queue.renewal import _BLOCK, COARSE_GRID_WARNING
@@ -50,6 +49,15 @@ def test_time_grid_validation():
     grid = TimeGrid(step=0.5, n_points=5)
     assert np.allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
     assert grid.horizon == 2.0
+
+
+def test_time_grid_covering_keeps_the_last_point():
+    # 0.7 / 0.1 is 6.999999999999999 in binary: the grid still reaches 0.7
+    assert TimeGrid.covering(0.7, 0.1) == TimeGrid(step=0.1, n_points=8)
+    assert TimeGrid.covering(0.75, 0.1) == TimeGrid(step=0.1, n_points=8)
+    assert TimeGrid.covering(40.0, 0.05).n_points == 801
+    with pytest.raises(ValueError):
+        TimeGrid.covering(0.05, 0.1)
 
 
 def test_renewal_function_poisson(poisson_case):
@@ -169,50 +177,36 @@ def test_coarse_grid_warning():
     assert H2.warnings == ()
 
 
-def test_renewal_density_poisson(poisson_case):
-    _, H = poisson_case
-    h = renewal_density(H)
-    assert np.abs(h.values[1:] - 1.0).max() < 1e-3
-
-
-def test_renewal_density_linear_exact():
-    grid = make_grid(0.1, 5.0)
-    H = Curve(grid, 1.0 + 0.37 * grid.times())
-    h = renewal_density(H)
-    assert np.abs(h.values - 0.37).max() < 1e-12
-
-
-def test_renewal_density_erlang_limit(erlang_case):
-    _, H = erlang_case
-    h = renewal_density(H)
-    assert h.values[-10:] == pytest.approx(0.5, abs=1e-3)
+def asymptote(t, cycle_mean, cycle_second):
+    """The key renewal theorem's line t / m + m_2 / (2 m^2), which H - its
+    remainder approaches."""
+    return t / cycle_mean + cycle_second / (2.0 * cycle_mean**2)
 
 
 def test_asymptote_remainder_poisson_exact(poisson_case):
     _, H = poisson_case
-    cm_poisson = CycleMoments(busy_mean=0.5, cycle_mean=1.0, cycle_second=2.0)
-    asym, rem = asymptote_remainder(H, cm_poisson)
     t = H.times()
-    assert np.allclose(asym.values, t + 1.0)
-    assert np.abs(rem.values).max() < 1e-3  # only the scheme error remains
+    asym = asymptote(t, cycle_mean=1.0, cycle_second=2.0)
+    assert np.allclose(asym, t + 1.0)
+    # only the scheme error remains
+    assert np.abs(H.values - asym).max() < 1e-3
 
 
 def test_asymptote_remainder_erlang_decays(erlang_case):
     _, H = erlang_case
-    cm = CycleMoments(busy_mean=1.0, cycle_mean=2.0, cycle_second=6.0)
-    asym, rem = asymptote_remainder(H, cm)
-    assert asym.values[0] == pytest.approx(0.75)
+    asym = asymptote(H.times(), cycle_mean=2.0, cycle_second=6.0)
+    rem = H.values - asym
+    assert asym[0] == pytest.approx(0.75)
     # remainder e^{-2t}/4 decays below 10x the scheme error by the horizon
-    assert abs(rem.values[-1]) < 10 * 1e-4
-    assert abs(rem.values[-1]) < abs(rem.values[0])
+    assert abs(rem[-1]) < 10 * 1e-4
+    assert abs(rem[-1]) < abs(rem[0])
 
 
 def test_mg1_cycle_asymptote_slope_intercept():
     cm = cycle_moments(QueueModel(0.5, Exponential(1.0)))
-    grid = make_grid(0.1, 4.0)
-    H = Curve(grid, np.zeros(grid.n_points))  # placeholder; only cm matters
-    asym, _ = asymptote_remainder(H, cm)
-    assert np.allclose(asym.values, grid.times() / 4.0 + 1.0)
+    t = make_grid(0.1, 4.0).times()
+    assert np.allclose(asymptote(t, cm.cycle_mean, cm.cycle_second),
+                       t / 4.0 + 1.0)
 
 
 def test_phi_via_renewal_zero_kernel(erlang_case):
