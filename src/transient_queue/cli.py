@@ -19,16 +19,12 @@ from .analysis import (EXP_WITH_SQRT_T, PURE_EXPONENTIAL, UnfitError,
                        compare_methods, fit_decay_rate, stationary_pk)
 from .busy_period import (IterationLimitError, QueueModel, busy_cramer_abscissa,
                           busy_lst, busy_mean, cycle_moments)
-from .distributions import DistributionSpecError, parse_service_spec
+from .distributions import parse_service_spec
 from .renewal import (TimeGrid, _csv_text, atomic_write, phi_via_renewal,
                       read_curve_csv, renewal_function, write_curve_csv)
 from .simulate import (CycleTruncationError, McConfig, estimate_phi,
                        estimate_stationary, first_cycle_study)
 from .mm1 import SeriesTruncationError
-
-
-class ValidationError(ValueError):
-    """Bad command-line input; maps to exit code 2."""
 
 
 def _json_text(payload: dict) -> str:
@@ -38,24 +34,21 @@ def _json_text(payload: dict) -> str:
 def _make_grid(t_max: float, step: float) -> TimeGrid:
     for flag, value in (("--t-max", t_max), ("--step", step)):
         if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{flag} must be finite and > 0, got {value}")
+            raise ValueError(f"{flag} must be finite and > 0, got {value}")
     try:
         return TimeGrid.covering(t_max, step)
     except ValueError as exc:  # fewer than two points
-        raise ValidationError("--t-max must cover at least one step") from exc
+        raise ValueError("--t-max must cover at least one step") from exc
 
 
 def _make_model(args) -> QueueModel:
-    try:
-        service = parse_service_spec(args.service)
-        return QueueModel(arrival_rate=args.lam, service=service)
-    except (DistributionSpecError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    return QueueModel(arrival_rate=args.lam,
+                      service=parse_service_spec(args.service))
 
 
 def _make_config(args, grid: TimeGrid) -> McConfig:
     if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return McConfig(replications=args.reps, base_seed=args.seed, grid=grid)
 
 
@@ -80,11 +73,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mm1_exact(args) -> int:
     if not all(math.isfinite(r) and r > 0 for r in (args.lam, args.mu)):
-        raise ValidationError("--lambda and --mu must be finite and > 0")
-    try:
-        model = mm1.Mm1Model(args.lam, args.mu)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValueError("--lambda and --mu must be finite and > 0")
+    model = mm1.Mm1Model(args.lam, args.mu)
     grid = _make_grid(args.t_max, args.step)
     times = grid.times()
     phi_def, p0 = mm1._phi_and_p0(model, times)
@@ -120,12 +110,12 @@ def _cmd_renewal(args) -> int:
 def _parse_range(text: str, name: str, parts: int):
     pieces = text.split(":")
     if len(pieces) != parts:
-        raise ValidationError(
+        raise ValueError(
             f"{name} expects {parts} colon-separated numbers, got {text!r}")
     try:
         return tuple(float(p) for p in pieces)
     except ValueError as exc:
-        raise ValidationError(f"bad number in {name}: {exc}") from exc
+        raise ValueError(f"bad number in {name}: {exc}") from exc
 
 
 def _cmd_busy_period(args) -> int:
@@ -143,7 +133,7 @@ def _cmd_busy_period(args) -> int:
         lo, hi, step = _parse_range(args.s_grid, "--s-grid", 3)
         if not (all(map(math.isfinite, (lo, hi, step))) and step > 0
                 and 0 <= lo <= hi):
-            raise ValidationError(
+            raise ValueError(
                 f"--s-grid needs finite 0 <= lo <= hi and step > 0, "
                 f"got {args.s_grid!r}")
         svals = np.arange(lo, hi + 1e-12, step)
@@ -159,7 +149,7 @@ def _cmd_fit_rate(args) -> int:
     curve = read_curve_csv(args.input)
     if args.phi_inf is not None:
         if not math.isfinite(args.phi_inf):
-            raise ValidationError(f"--phi-inf must be finite, got {args.phi_inf}")
+            raise ValueError(f"--phi-inf must be finite, got {args.phi_inf}")
         phi_inf = args.phi_inf
     elif args.lam is not None and args.service is not None:
         phi_inf = stationary_pk(_make_model(args))
@@ -167,7 +157,7 @@ def _cmd_fit_rate(args) -> int:
         service = parse_service_spec(f"exp:rate={args.mu}")
         phi_inf = stationary_pk(QueueModel(args.lam, service))
     else:
-        raise ValidationError(
+        raise ValueError(
             "provide --phi-inf, or --lambda with --service (or --mu) so the "
             "stationary value can be computed")
     window = _parse_range(args.window, "--window", 2)
@@ -275,10 +265,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"transient-queue: error: {exc}", file=sys.stderr)
-        return 2
-    except (DistributionSpecError, ValueError) as exc:
+    except ValueError as exc:  # bad input, DistributionSpecError included
         print(f"transient-queue: error: {exc}", file=sys.stderr)
         return 2
     except (IterationLimitError, SeriesTruncationError, UnfitError,

@@ -71,18 +71,6 @@ def test_bessel_rows_of_a_batch_are_each_row_run_alone():
         assert np.array_equal(rows[j, : s + 2], alone)
 
 
-def test_pn_rows_of_a_batch_are_each_row_run_alone():
-    # the guard, the suffix sums and the direct terms read no entry past a
-    # row's own orders, so a row's P_n do not depend on its batch
-    t = np.array([0.5, 3.0, 40.0, 100.0, 7.0])
-    n_max = np.array([30, 5, 60, 200, 2])
-    [(positions, rows)] = mm1._pn_rows(MM1, t, n_max)
-    for i, j in enumerate(positions):
-        [(_, alone)] = mm1._pn_rows(MM1, t[j : j + 1], n_max[j : j + 1])
-        assert np.array_equal(rows[i, : n_max[j] + 1],
-                              alone[0, : n_max[j] + 1])
-
-
 def test_bessel_input_validation():
     with pytest.raises(ValueError):
         bessel_i_scaled_array(10, -1.0)
@@ -261,7 +249,7 @@ def test_phi_and_p0_are_the_sums_of_pn_array(lam):
                                          rel=K * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("lam", [0.2, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("lam", [0.01, 0.2, 0.5, 0.9, 0.95])
 def test_phi_exact_against_ode_oracle(lam):
     # the mean of the birth-death chain integrated on 600 states checks the
     # series' truncation independently of the package's own code
@@ -281,6 +269,46 @@ def test_phi_truncation_cap():
         phi_exact(MM1, 4.0e5)
     with pytest.raises(SeriesTruncationError):
         phi_curve(MM1, TimeGrid(1.0e5, 5))
+
+
+def test_series_where_rho_k_underflows():
+    # at lam = 0.01, t = 200 the cut is order 361, and the weights rho^k of
+    # the summands underflow past k ~ 154; the gap to the stationary law is
+    # e^{-162}, so phi and P_n are the Pollaczek-Khinchine value and
+    # (1 - rho) rho^n
+    model = Mm1Model(0.01, 1.0)
+    rho = model.rho
+    assert phi_exact(model, 200.0) == pytest.approx(rho / (1.0 - rho),
+                                                    rel=1e-12)
+    n = np.arange(6)
+    assert np.allclose(pn_array(model, 200.0, 5), (1.0 - rho) * rho**n,
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pn_array(MM1, 1.0, 300_000),
+    lambda: log_bessel_i_scaled(300_000, 1.0),
+    lambda: bessel_i_scaled_array(300_000, 1.0),
+    lambda: log_bessel_i_scaled(0, 1.0e9),   # the start order alone
+], ids=["pn_array", "log_bessel", "bessel", "bessel-large-x"])
+def test_requested_orders_past_the_cap_raise(call):
+    # the orders the caller asks for count against the cap, not only the
+    # start-order rule, and the call raises before any row is built
+    with pytest.raises(SeriesTruncationError, match="cap") as caught:
+        call()
+    assert caught.value.achieved_bound == math.inf
+
+
+def test_cap_boundary_on_requested_orders(monkeypatch):
+    # pn_array's cut is n_max + 2 and the Bessel start n_max + 20 when those
+    # pass the start-order rule; an order equal to the cap still runs
+    monkeypatch.setattr(mm1, "_PN_TAIL_CAP", 100)
+    assert len(pn_array(MM1, 1.0, 98)) == 99
+    assert len(log_bessel_i_scaled(80, 1.0)) == 81
+    with pytest.raises(SeriesTruncationError, match="cap"):
+        pn_array(MM1, 1.0, 99)
+    with pytest.raises(SeriesTruncationError, match="cap"):
+        log_bessel_i_scaled(81, 1.0)
 
 
 # -------------------------------------------------------------- asymptotic
