@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from transient_queue import (EXP_WITH_SQRT_T, Mm1Model, TimeGrid, fit_decay_rate,
-                             phi_curve, theoretical_rate, write_curve_csv)
+                             phi_curve, stationary_pk, theoretical_rate,
+                             write_curve_csv)
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
         write_curve_csv(curve, args.out)
         print(f"curve written to {args.out}")
 
-    phi_inf = model.rho / (model.service_rate * (1.0 - model.rho))
+    phi_inf = stationary_pk(model)
     print(f"\nstationary value: {phi_inf:.6f}")
     print(f"closed-form rate: {rate_ref:.6f}\n")
     print(f"{'window':>14} {'fitted rate':>12} {'rel err':>9} {'r^2':>8}")

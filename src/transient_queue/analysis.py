@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mm1
 from .busy_period import QueueModel
 from .distributions import Exponential
 from .renewal import Curve, TimeGrid, phi_via_renewal, renewal_function
@@ -124,8 +125,6 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
     [2/s*, 7/s*] of an exact curve, s* the closed-form rate; other laws fit
     ``pure_exponential`` to the simulated curve on (0.25, 0.9) t_max.
     """
-    from . import mm1
-
     grid = cfg.grid
     t = grid.times()
     phi_inf = stationary_pk(model)
@@ -135,8 +134,7 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
     exact = None
     if is_mm1:
         methods.insert(0, "exact_series")
-        exact_model = mm1.Mm1Model(model.arrival_rate, model.service.rate)
-        exact = mm1.phi_curve(exact_model, grid)
+        exact = mm1.phi_curve(model, grid)
 
     sim_curve = estimate_phi(model, cfg)
     study = first_cycle_study(model, cfg)
@@ -183,10 +181,10 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
         if is_mm1:
             # the gap's t^-3/2 (1 + a/t) form on [2, 7] in units of 1/s*, on
             # its own exact curve: the compare grid often ends before 7/s*
-            rate_ref = mm1.theoretical_rate(exact_model)
+            rate_ref = mm1.theoretical_rate(model)
             window = (2.0 / rate_ref, 7.0 / rate_ref)
             fit_curve = mm1.phi_curve(
-                exact_model, TimeGrid(step=window[1] / 800, n_points=801))
+                model, TimeGrid(step=window[1] / 800, n_points=801))
             fit = fit_decay_rate(fit_curve, phi_inf, window,
                                  EXP_WITH_T32_CORRECTED)
             report["fit"] = fit.as_dict()

@@ -86,7 +86,7 @@ def _cmd_mm1_exact(args) -> int:
     if args.paper_literal:
         gap = np.abs(phi_lit - asym)
     else:
-        gap = np.abs(phi_def - (asym - (1.0 - model.rho)))
+        gap = np.abs(phi_def - (asym - (1.0 - args.lam / args.mu)))
     atomic_write(args.output, _csv_text(
         "t,phi_exact,phi_paper_literal,phi_asymptotic,abs_gap",
         [times, phi_def, phi_lit, asym, gap]))
@@ -154,8 +154,7 @@ def _cmd_fit_rate(args) -> int:
     elif args.lam is not None and args.service is not None:
         phi_inf = stationary_pk(_make_model(args))
     elif args.lam is not None and args.mu is not None:
-        service = parse_service_spec(f"exp:rate={args.mu}")
-        phi_inf = stationary_pk(QueueModel(args.lam, service))
+        phi_inf = stationary_pk(mm1.Mm1Model(args.lam, args.mu))
     else:
         raise ValueError(
             "provide --phi-inf, or --lambda with --service (or --mu) so the "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +33,23 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class ServiceDistribution:
-    """Base class for a service-time law on [0, inf)."""
+    """Base class for a service-time law on [0, inf).  Each law states its
+    spec ``kind`` and, per dataclass field in order, a (spec name, parser)
+    pair in ``spec_fields``; the spec string, the parser and the finiteness
+    check read them, then the law's ``_validate`` checks the rest."""
+
+    def __post_init__(self):
+        for name, numbers in self._spec_items():
+            _require(all(map(math.isfinite, numbers)),
+                     f"{self.kind} {name} must be finite, got "
+                     f"{'|'.join(map(str, numbers))}")
+        self._validate()
+
+    def _spec_items(self):
+        """(spec name, the field's numbers as a tuple) for each spec field."""
+        for (name, _), field in zip(self.spec_fields, fields(self)):
+            value = getattr(self, field.name)
+            yield name, value if isinstance(value, tuple) else (value,)
 
     def moment(self, k: int) -> float:
         """Exact k-th raw moment, k >= 1."""
@@ -54,10 +70,14 @@ class ServiceDistribution:
             )
 
     def lst(self, s: float) -> float:
-        """E exp(-s X); returns DIVERGENT for s <= -cramer_abscissa()."""
+        """E exp(-s X); returns DIVERGENT for s <= -cramer_abscissa(), and
+        math.inf where the closed form overflows."""
         if s <= -self.cramer_abscissa():
             return DIVERGENT
-        return self._lst(s)
+        try:
+            return self._lst(s)
+        except OverflowError:
+            return math.inf
 
     def _lst(self, s: float) -> float:
         raise NotImplementedError
@@ -67,7 +87,12 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def cdf(self, x):
-        """P(X <= x); accepts scalars or arrays."""
+        """P(X <= x); accepts scalars or arrays, and is 0 for x <= 0 or NaN."""
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0, self._cdf(np.maximum(x, 0.0)), 0.0)[()]
+
+    def _cdf(self, x: np.ndarray) -> np.ndarray:
+        """P(X <= x) for an array of x >= 0."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -76,14 +101,22 @@ class ServiceDistribution:
 
     def spec_string(self) -> str:
         """Round-trippable CLI/config representation."""
-        raise NotImplementedError
+        body = ",".join(f"{name}={'|'.join(map(_number, numbers))}"
+                        for name, numbers in self._spec_items())
+        return f"{self.kind}:{body}"
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split("|"))
 
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
     rate: float
+    kind = "exp"
+    spec_fields = (("rate", float),)
 
-    def __post_init__(self):
+    def _validate(self):
         _require(self.rate > 0, f"exponential rate must be > 0, got {self.rate}")
 
     def _moment(self, k: int) -> float:
@@ -95,58 +128,53 @@ class Exponential(ServiceDistribution):
     def cramer_abscissa(self) -> float:
         return self.rate
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)[()]
+    def _cdf(self, x):
+        return -np.expm1(-self.rate * x)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
-
-    def spec_string(self) -> str:
-        return f"exp:rate={_number(self.rate)}"
 
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
     value: float
+    kind = "det"
+    spec_fields = (("value", float),)
 
-    def __post_init__(self):
+    def _validate(self):
         _require(self.value > 0, f"deterministic value must be > 0, got {self.value}")
 
     def _moment(self, k: int) -> float:
         return self.value**k
 
     def _lst(self, s: float) -> float:
-        # finite for every s; math.inf only when the value exceeds float range
-        if -s * self.value > 709.0:
-            return math.inf
         return math.exp(-s * self.value)
 
     def cramer_abscissa(self) -> float:
         return math.inf
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.value, 1.0, 0.0)[()]
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
     def sample(self, rng, size=None):
         if size is None:
             return self.value
         return np.full(size, self.value)
 
-    def spec_string(self) -> str:
-        return f"det:value={_number(self.value)}"
-
 
 @dataclass(frozen=True)
 class Erlang(ServiceDistribution):
     shape: int
     rate: float
+    kind = "erlang"
+    spec_fields = (("shape", int), ("rate", float))
 
-    def __post_init__(self):
+    def _validate(self):
         _require(self.shape >= 1 and self.shape == int(self.shape),
                  f"erlang shape must be a positive integer, got {self.shape}")
         _require(self.rate > 0, f"erlang rate must be > 0, got {self.rate}")
+        # a whole float such as 2.0 is stored as the int the cdf loop needs
+        object.__setattr__(self, "shape", int(self.shape))
 
     def _moment(self, k: int) -> float:
         # Gamma(shape + k) / Gamma(shape) = shape (shape+1) ... (shape+k-1)
@@ -156,17 +184,13 @@ class Erlang(ServiceDistribution):
         return num / self.rate**k
 
     def _lst(self, s: float) -> float:
-        try:
-            return (self.rate / (self.rate + s)) ** self.shape
-        except OverflowError:
-            return math.inf
+        return (self.rate / (self.rate + s)) ** self.shape
 
     def cramer_abscissa(self) -> float:
         return self.rate
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y = self.rate * np.maximum(x, 0.0)
+    def _cdf(self, x):
+        y = self.rate * x
         # 1 - sum_{j<shape} y^j e^{-y} / j!
         total = np.zeros_like(y)
         term = np.ones_like(y)
@@ -174,23 +198,25 @@ class Erlang(ServiceDistribution):
             if j > 0:
                 term = term * y / j
             total += term
-        return np.where(x > 0, 1.0 - np.exp(-y) * total, 0.0)[()]
+        return 1.0 - np.exp(-y) * total
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
-
-    def spec_string(self) -> str:
-        return f"erlang:shape={self.shape},rate={_number(self.rate)}"
 
 
 @dataclass(frozen=True)
 class HyperExponential(ServiceDistribution):
     weights: tuple
     rates: tuple
+    kind = "hyperexp"
+    spec_fields = (("w", _floats), ("rate", _floats))
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        super().__post_init__()
+
+    def _validate(self):
         _require(len(self.weights) == len(self.rates) and len(self.rates) >= 1,
                  "hyperexp weights and rates must have equal, nonzero length")
         _require(all(w >= 0 for w in self.weights), "hyperexp weights must be >= 0")
@@ -208,13 +234,11 @@ class HyperExponential(ServiceDistribution):
     def cramer_abscissa(self) -> float:
         return min(r for w, r in zip(self.weights, self.rates) if w > 0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xc = np.maximum(x, 0.0)
-        val = np.zeros_like(xc)
+    def _cdf(self, x):
+        val = np.zeros_like(x)
         for w, r in zip(self.weights, self.rates):
-            val += w * -np.expm1(-r * xc)
-        return np.where(x > 0, val, 0.0)[()]
+            val += w * -np.expm1(-r * x)
+        return val
 
     @cached_property
     def _mixer(self):
@@ -233,18 +257,15 @@ class HyperExponential(ServiceDistribution):
         idx = np.searchsorted(cdf, rng.random(size), side="right")
         return rng.exponential(scales[idx])
 
-    def spec_string(self) -> str:
-        w = "|".join(map(_number, self.weights))
-        r = "|".join(map(_number, self.rates))
-        return f"hyperexp:w={w},rate={r}"
-
 
 @dataclass(frozen=True)
 class Uniform(ServiceDistribution):
     lo: float
     hi: float
+    kind = "uniform"
+    spec_fields = (("lo", float), ("hi", float))
 
-    def __post_init__(self):
+    def _validate(self):
         _require(self.lo > 0, f"uniform lo must be > 0, got {self.lo}")
         _require(self.hi > self.lo,
                  f"uniform needs lo < hi, got lo={self.lo}, hi={self.hi}")
@@ -253,8 +274,6 @@ class Uniform(ServiceDistribution):
         return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
 
     def _lst(self, s: float) -> float:
-        if -s * self.hi > 709.0:
-            return math.inf
         x = s * (self.hi - self.lo)
         if x == 0.0:
             # s == 0, or s so small that s * width underflows: the ratio
@@ -266,31 +285,20 @@ class Uniform(ServiceDistribution):
     def cramer_abscissa(self) -> float:
         return math.inf
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def spec_string(self) -> str:
-        return f"uniform:lo={_number(self.lo)},hi={_number(self.hi)}"
 
-
-def _number(value: float) -> str:
-    """``:g``'s six digits if they parse back to ``value``, else its repr."""
+def _number(value) -> str:
+    """An int's digits; else ``:g``'s six digits if they parse back to
+    ``value``, else its repr."""
+    if isinstance(value, int):
+        return str(value)
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
-
-
-def _parse_fields(body: str, spec: str) -> dict:
-    fields = {}
-    for part in body.split(","):
-        if "=" not in part:
-            raise DistributionSpecError(f"bad field {part!r} in spec {spec!r}")
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
 
 
 def parse_service_spec(spec: str) -> ServiceDistribution:
@@ -307,33 +315,25 @@ def parse_service_spec(spec: str) -> ServiceDistribution:
     kind, sep, body = spec.partition(":")
     if not sep:
         raise DistributionSpecError(f"missing ':' in service spec {spec!r}")
-    fields = _parse_fields(body, spec)
+    laws = {law.kind: law for law in (Exponential, Deterministic, Erlang,
+                                      HyperExponential, Uniform)}
+    if kind not in laws:
+        raise DistributionSpecError(
+            f"unknown distribution kind {kind!r} (expected {', '.join(laws)})")
+    given = {}
+    for part in body.split(","):
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise DistributionSpecError(f"bad field {part!r} in spec {spec!r}")
+        given[key.strip()] = value.strip()
     try:
-        if kind == "exp":
-            dist = Exponential(rate=float(fields.pop("rate")))
-        elif kind == "det":
-            dist = Deterministic(value=float(fields.pop("value")))
-        elif kind == "erlang":
-            dist = Erlang(shape=int(fields.pop("shape")), rate=float(fields.pop("rate")))
-        elif kind == "hyperexp":
-            weights = tuple(float(v) for v in fields.pop("w").split("|"))
-            rates = tuple(float(v) for v in fields.pop("rate").split("|"))
-            dist = HyperExponential(weights=weights, rates=rates)
-        elif kind == "uniform":
-            dist = Uniform(lo=float(fields.pop("lo")), hi=float(fields.pop("hi")))
-        else:
-            raise DistributionSpecError(
-                f"unknown distribution kind {kind!r} "
-                f"(expected exp, det, erlang, hyperexp, uniform)"
-            )
+        values = [parse(given.pop(name)) for name, parse in laws[kind].spec_fields]
     except KeyError as exc:
         raise DistributionSpecError(f"spec {spec!r} is missing field {exc}") from None
     except ValueError as exc:
-        if isinstance(exc, DistributionSpecError):
-            raise
-        raise DistributionSpecError(f"bad numeric value in spec {spec!r}: {exc}") from None
-    if fields:
         raise DistributionSpecError(
-            f"unexpected field(s) {sorted(fields)} in spec {spec!r}"
-        )
-    return dist
+            f"bad numeric value in spec {spec!r}: {exc}") from None
+    if given:
+        raise DistributionSpecError(
+            f"unexpected field(s) {sorted(given)} in spec {spec!r}")
+    return laws[kind](*values)

@@ -10,9 +10,12 @@ representable far beyond the t ~ 360 overflow point of unscaled I_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .busy_period import QueueModel
+from .distributions import Exponential
+from .renewal import Curve
 
 # the highest order to which any series or Bessel recurrence is run
 _PN_TAIL_CAP = 200_000
@@ -31,31 +34,29 @@ class SeriesTruncationError(RuntimeError):
         self.achieved_bound = achieved_bound
 
 
-@dataclass(frozen=True)
-class Mm1Model:
-    """M/M/1 queue with Poisson arrivals and Exponential(service_rate) service."""
-
-    arrival_rate: float
-    service_rate: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(r) and r > 0
-                   for r in (self.arrival_rate, self.service_rate)):
-            raise ValueError(
-                f"arrival_rate and service_rate must be finite and > 0, got "
-                f"{self.arrival_rate} and {self.service_rate}")
-        if self.rho >= 1:
-            raise ValueError(
-                f"unstable queue: rho = {self.rho:.6g} must be < 1")
-
-    @property
-    def rho(self) -> float:
-        return self.arrival_rate / self.service_rate
+def Mm1Model(arrival_rate: float, service_rate: float) -> QueueModel:
+    """The M/M/1 queue, with Exponential(service_rate) service."""
+    return QueueModel(arrival_rate, Exponential(service_rate))
 
 
-def theoretical_rate(model: Mm1Model) -> float:
+def _rates(model: QueueModel):
+    """(lam, mu, rho) of an M/M/1 model; other laws raise.  rho = lam / mu,
+    not ``model.rho`` = lam * (1/mu), which differs in the last bit for about
+    a quarter of pairs and passes lam = mu = 49 as 1 - 1.1e-16."""
+    if not isinstance(model.service, Exponential):
+        raise ValueError(f"the M/M/1 series needs exponential service, got "
+                         f"{model.service.spec_string()}")
+    lam, mu = model.arrival_rate, model.service.rate
+    rho = lam / mu
+    if rho >= 1:
+        raise ValueError(f"unstable queue: rho = {rho:.6g} must be < 1")
+    return lam, mu, rho
+
+
+def theoretical_rate(model: QueueModel) -> float:
     """Exponential convergence rate (sqrt(mu) - sqrt(lam))^2."""
-    return (math.sqrt(model.service_rate) - math.sqrt(model.arrival_rate)) ** 2
+    lam, mu, _ = _rates(model)
+    return (math.sqrt(mu) - math.sqrt(lam)) ** 2
 
 
 def _miller_start_order(x, log_r=0.0):
@@ -162,7 +163,7 @@ def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     return _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1]
 
 
-def _summand_rows(model: Mm1Model, t: np.ndarray, n_min: int):
+def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
     """Yield (positions, up, cuts) until every t_j > 0 is done, where row i
     belongs to position j = positions[i] and holds, for k = 0 .. cuts_i,
 
@@ -181,7 +182,7 @@ def _summand_rows(model: Mm1Model, t: np.ndarray, n_min: int):
     built, and one whose topmost five summands are not negligible against
     the largest raises, so an undersized cut is never a silent number.
     """
-    lam, mu = model.arrival_rate, model.service_rate
+    lam, mu, _ = _rates(model)
     x_all = 2.0 * math.sqrt(lam * mu) * t
     decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
     log_r = 0.5 * math.log(mu / lam)
@@ -216,7 +217,7 @@ def _summand_rows(model: Mm1Model, t: np.ndarray, n_min: int):
         del up  # free this batch before the next one is built
 
 
-def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
+def pn_array(model: QueueModel, t: float, n_max: int) -> np.ndarray:
     """P_n(t) for n = 0 .. n_max, starting from an empty system.
 
     In the summands of ``_summand_rows``,
@@ -231,6 +232,7 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
     apart with n_max = 700 and n_max = 1000; at lam = 0.2, mu = 1, t = 0.5
     the top entry of n_max = 40 is 1.35e-6 off in relative terms.
     """
+    _, _, rho = _rates(model)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if n_max < 0:
@@ -239,7 +241,6 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    rho = model.rho
     [(_, up, _)] = _summand_rows(model, np.array([float(t)]), n_max + 2)
     up = up[0]
     tail = np.cumsum(up[::-1])[::-1]  # sum_{k>=m} up[k], from the top
@@ -249,7 +250,7 @@ def pn_array(model: Mm1Model, t: float, n_max: int) -> np.ndarray:
     return probs
 
 
-def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
+def phi_exact(model: QueueModel, t: float, paper_literal: bool = False) -> float:
     """Mean virtual waiting time at t from the transient state probabilities.
 
     Default mode is sum_{k>=1} k P_k(t) / mu (the mean of the mixture law
@@ -263,7 +264,7 @@ def phi_exact(model: Mm1Model, t: float, paper_literal: bool = False) -> float:
     return float(value[0] + p0[0]) if paper_literal else float(value[0])
 
 
-def _phi_and_p0(model: Mm1Model, t: np.ndarray):
+def _phi_and_p0(model: QueueModel, t: np.ndarray):
     """``phi_exact``'s default values and P_0 at the times ``t``, from one
     series evaluation per point; the paper-literal values are their sum.
 
@@ -282,7 +283,7 @@ def _phi_and_p0(model: Mm1Model, t: np.ndarray):
     bad = ~(np.isfinite(t) & (t >= 0))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
-    mu, rho = model.service_rate, model.rho
+    _, mu, rho = _rates(model)
     value = np.zeros(len(t))
     p0 = np.ones(len(t))
     pending = np.flatnonzero(t > 0)
@@ -303,7 +304,7 @@ def _phi_and_p0(model: Mm1Model, t: np.ndarray):
     return value, p0
 
 
-def phi_asymptotic(model: Mm1Model, t: float) -> float:
+def phi_asymptotic(model: QueueModel, t: float) -> float:
     """The paper's large-t formula for the mean wait, as printed.
 
     Constant part (1-rho) + rho/(mu(1-rho)) plus a decaying term
@@ -318,10 +319,10 @@ def phi_asymptotic(model: Mm1Model, t: float) -> float:
     """
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
-    lam, mu, rho = model.arrival_rate, model.service_rate, model.rho
+    lam, mu, rho = _rates(model)
     u = math.sqrt(rho)
     constant = (1.0 - rho) + rho / (mu * (1.0 - rho))
-    prefactor = (math.exp(-theoretical_rate(model) * t)
+    prefactor = (math.exp(-(math.sqrt(mu) - math.sqrt(lam)) ** 2 * t)
                  / math.sqrt(4.0 * math.pi * math.sqrt(lam * mu) * t))
     coefficient = ((1.0 + 3.0 * u + 4.0 * rho + 4.0 * rho * u
                     + 3.0 * rho**2 - rho**2 * u)
@@ -329,9 +330,7 @@ def phi_asymptotic(model: Mm1Model, t: float) -> float:
     return constant + prefactor * coefficient
 
 
-def phi_curve(model: Mm1Model, grid, paper_literal: bool = False):
+def phi_curve(model: QueueModel, grid, paper_literal: bool = False):
     """phi_exact sampled on a TimeGrid, returned as a Curve."""
-    from .renewal import Curve
-
     value, p0 = _phi_and_p0(model, grid.times())
     return Curve(grid, value + p0 if paper_literal else value)

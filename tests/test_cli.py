@@ -124,6 +124,29 @@ def test_busy_period_non_finite_s_grid_exits_2_naming_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["busy-period", "--service", "uniform:lo=0.5,hi=inf"],
+    ["busy-period", "--service", "exp:rate=inf"],
+    ["simulate", "--service", "uniform:lo=0.5,hi=inf", "--t-max", "1",
+     "--step", "0.5", "--reps", "10", "--seed", "1"],
+], ids=["busy-period-uniform", "busy-period-exp", "simulate-uniform"])
+def test_non_finite_service_parameter_exits_2(tmp_path, capsys, argv):
+    # an infinite parameter gives rho = NaN or 0, never a usable model
+    out = tmp_path / "x.out"
+    assert main([*argv, "--lambda", "0.5", "-o", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rate_mu_must_be_finite(tmp_path, capsys):
+    curve = tmp_path / "mm1.csv"
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "6",
+                 "--step", "0.5", "-o", str(curve)]) == 0
+    assert main(["fit-rate", "--input", str(curve), "--window", "1:5",
+                 "--lambda", "0.5", "--mu", "inf"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_fit_rate_on_empty_file_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from transient_queue import (DIVERGENT, Deterministic, DistributionSpecError,
-                             Erlang, Exponential, HyperExponential, Uniform,
-                             parse_service_spec)
+                             Erlang, Exponential, HyperExponential,
+                             ServiceDistribution, Uniform, parse_service_spec)
 
 ALL_KINDS = [
     Exponential(rate=1.0),
@@ -159,11 +160,14 @@ def test_parameter_validation():
 
 
 def test_spec_string_round_trip():
-    # parameters past six significant digits too, a numpy float among them
+    # parameters past six significant digits too, a numpy float among them,
+    # and shapes given as a whole float or past :g's six digits
     for dist in ALL_KINDS + [
             Exponential(rate=1.0 / 3.0),
             Deterministic(value=2.0 / 3.0),
             Erlang(shape=3, rate=1.0 / 7.0),
+            Erlang(shape=2.0, rate=1.0),
+            Erlang(shape=10**7, rate=1.0),
             HyperExponential(weights=(1.0 / 3.0, 2.0 / 3.0),
                              rates=(0.1234567, 3.0)),
             Uniform(lo=0.1234567, hi=1.5),
@@ -177,11 +181,72 @@ def test_spec_string_keeps_short_spellings():
         "hyperexp:w=0.5|0.5,rate=0.6|3")
     assert Uniform(0.5, 1.5).spec_string() == "uniform:lo=0.5,hi=1.5"
     assert Exponential(1.0 / 3.0).spec_string() == "exp:rate=0.3333333333333333"
+    assert Erlang(2.0, 1.0).spec_string() == "erlang:shape=2,rate=1"
+
+
+def test_erlang_whole_float_shape_is_stored_as_int():
+    # the cdf's term loop runs range(shape), which takes no float
+    assert type(Erlang(2.0, 1.0).shape) is int
+    assert Erlang(2.0, 1.0).cdf(1.5) == Erlang(2, 1.0).cdf(1.5)
+
+
+# one instance of every law: the guard below fails for a law missing here
+EXAMPLES = {
+    Exponential: Exponential(2.5),
+    Deterministic: Deterministic(1.0),
+    Erlang: Erlang(2, 2.0),
+    HyperExponential: HyperExponential((0.3, 0.7), (1.0, 2.0)),
+    Uniform: Uniform(0.5, 1.5),
+}
+
+
+def test_every_law_is_parsed_and_checked_for_finiteness():
+    # a law added later cannot skip the spec parser or the finiteness check
+    assert set(ServiceDistribution.__subclasses__()) == set(EXAMPLES)
+    for law, dist in EXAMPLES.items():
+        assert parse_service_spec(dist.spec_string()) == dist
+        params = {f.name: getattr(dist, f.name) for f in dataclasses.fields(law)}
+        for name, value in params.items():
+            for bad in (math.inf, -math.inf, math.nan):
+                given = dict(params)
+                given[name] = value[:-1] + (bad,) if isinstance(value, tuple) else bad
+                with pytest.raises(DistributionSpecError, match="finite"):
+                    law(**given)
+
+
+@pytest.mark.parametrize("spec", [
+    "exp:rate=inf", "exp:rate=nan", "det:value=nan", "det:value=inf",
+    "erlang:shape=2,rate=inf", "erlang:shape=2,rate=nan",
+    "hyperexp:w=1,rate=inf", "hyperexp:w=0.5|nan,rate=1|2",
+    "hyperexp:w=inf|0.5,rate=1|2", "hyperexp:w=0.5|0.5,rate=1|nan",
+    "uniform:lo=0.5,hi=inf", "uniform:lo=nan,hi=1", "uniform:lo=-inf,hi=1",
+    "uniform:lo=0.5,hi=nan",
+])
+def test_parse_rejects_non_finite_fields(spec):
+    with pytest.raises(DistributionSpecError, match="finite"):
+        parse_service_spec(spec)
+
+
+@pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec_string())
+def test_cdf_is_zero_off_the_support(dist):
+    x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0])
+    assert np.array_equal(dist.cdf(x), np.zeros(len(x)))
+    assert dist.cdf(math.nan) == 0.0
+
+
+def test_lst_is_inf_where_the_closed_form_overflows():
+    # finite up to e^709.78, the largest double, and inf past it
+    assert Deterministic(1.0).lst(-709.5) == math.exp(709.5)
+    assert Deterministic(1.0).lst(-710.0) == math.inf
+    assert Uniform(0.5, 1.5).lst(-600.0) == math.inf
+    assert Uniform(0.5, 1.5).lst(-1500.0) == math.inf
+    assert Erlang(2, 1.0).lst(-1.0 + 1e-200) == math.inf
 
 
 def test_parse_errors():
     for bad in ("exp", "exp:r=1", "exp:rate=abc", "nope:rate=1",
-                "uniform:lo=1,hi=0.5", "exp:rate=1,extra=2"):
+                "uniform:lo=1,hi=0.5", "exp:rate=1,extra=2",
+                "erlang:shape=2.0,rate=1", "erlang:shape=inf,rate=1"):
         with pytest.raises(DistributionSpecError):
             parse_service_spec(bad)
 

@@ -5,7 +5,8 @@ import pytest
 import scipy.special
 
 from transient_queue import mm1
-from transient_queue import (Mm1Model, SeriesTruncationError, TimeGrid,
+from transient_queue import (Deterministic, Exponential, Mm1Model,
+                             QueueModel, SeriesTruncationError, TimeGrid,
                              bessel_i_scaled_array, log_bessel_i_scaled,
                              phi_asymptotic, phi_curve, phi_exact, pn_array,
                              theoretical_rate)
@@ -365,3 +366,25 @@ def test_model_validation():
     for rates in ((float("nan"), 1.0), (0.5, float("nan")), (0.5, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             Mm1Model(*rates)
+    # 49 * (1/49) rounds below 1 where 49 / 49 is 1; the series, which reads
+    # rho as lam / mu, must refuse it
+    with pytest.raises(ValueError, match="unstable"):
+        phi_curve(Mm1Model(49.0, 49.0), TimeGrid(0.5, 3))
+
+
+def test_mm1_model_is_the_exponential_queue_model():
+    assert Mm1Model(0.5, 2.0) == QueueModel(0.5, Exponential(2.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: phi_curve(m, TimeGrid(0.5, 3)),
+    lambda m: pn_array(m, 0.0, 3),
+    lambda m: phi_asymptotic(m, 1.0),
+    lambda m: phi_exact(m, 0.0),
+    theoretical_rate,
+], ids=["phi_curve", "pn_array", "phi_asymptotic", "phi_exact",
+        "theoretical_rate"])
+def test_series_rejects_other_service_laws(call):
+    # t = 0 included: the answer there is known without the series
+    with pytest.raises(ValueError, match="det:value=1"):
+        call(QueueModel(0.5, Deterministic(1.0)))
