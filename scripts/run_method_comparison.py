@@ -13,6 +13,7 @@ import sys
 
 from transient_queue import (McConfig, QueueModel, TimeGrid, compare_methods,
                              parse_service_spec, write_curve_csv)
+from transient_queue.renewal import atomic_write
 
 
 def main() -> int:
@@ -40,8 +41,7 @@ def main() -> int:
         write_curve_csv(curve, path)
         print(f"  wrote {path}")
     report_path = os.path.join(args.out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    atomic_write(report_path, json.dumps(report, indent=2, sort_keys=True))
     print(f"  wrote {report_path}")
 
     print("\nsummary:")

@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from transient_queue import (EXP_WITH_SQRT_T, Mm1Model, TimeGrid, fit_decay_rate,
-                             phi_curve, stationary_pk, theoretical_rate,
-                             write_curve_csv)
+from transient_queue import (EXP_WITH_SQRT_T, Mm1Model, TimeGrid, UnfitError,
+                             fit_decay_rate, phi_curve, stationary_pk,
+                             theoretical_rate, write_curve_csv)
 
 
 def main() -> int:
@@ -44,7 +44,11 @@ def main() -> int:
     for lo, hi in windows:
         if hi > args.t_max:
             continue
-        fit = fit_decay_rate(curve, phi_inf, (lo, hi), EXP_WITH_SQRT_T)
+        try:
+            fit = fit_decay_rate(curve, phi_inf, (lo, hi), EXP_WITH_SQRT_T)
+        except UnfitError as exc:  # e.g. the gap has reached rounding
+            print(f"[{lo:5g},{hi:5g}] {'unfit':>12}: {exc}")
+            continue
         rel = abs(fit.rate - rate_ref) / rate_ref
         print(f"[{lo:5g},{hi:5g}] {fit.rate:12.6f} {rel:8.2%} {fit.r_squared:8.5f}")
     print("\nfitted rates approach the closed-form rate from above as the"

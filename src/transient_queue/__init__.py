@@ -9,9 +9,8 @@ stationary value.
 from .analysis import (EXP_WITH_SQRT_T, EXP_WITH_T32_CORRECTED,
                        PURE_EXPONENTIAL, FitResult, UnfitError,
                        compare_methods, fit_decay_rate, stationary_pk)
-from .busy_period import (CycleMoments, IterationLimitError, QueueModel,
-                          busy_cramer_abscissa, busy_lst, busy_mean,
-                          cycle_moments)
+from .busy_period import (CycleMoments, QueueModel, busy_cramer_abscissa,
+                          busy_lst, busy_mean, cycle_moments)
 from .distributions import (DIVERGENT, Deterministic, DistributionSpecError,
                             Erlang, Exponential, HyperExponential,
                             ServiceDistribution, Uniform, parse_service_spec)

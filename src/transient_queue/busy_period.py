@@ -1,25 +1,20 @@
 """Busy-period and regeneration-cycle analysis for the stable M/G/1 queue.
 
-The busy-period transform is the minimal solution of a fixed-point equation
-in the service transform; everything here works on the real axis only.
+The busy-period transform is the smallest root of a convex function built
+from the service transform; everything here works on the real axis only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import ServiceDistribution
 
-_FP_MAX_ITER = 1_000_000
-
-
-class IterationLimitError(RuntimeError):
-    """Fixed-point iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+# lam * b1 is within a few ulps of the load; below this bound M/M/1 has
+# lam / mu < 1, and above it the busy mean exceeds 10^15 services
+_MAX_RHO = 1.0 - 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -33,12 +28,9 @@ class QueueModel:
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
             raise ValueError(
                 f"arrival rate must be finite and > 0, got {self.arrival_rate}")
-        rho = self.rho
-        if rho >= 1:
-            raise ValueError(
-                f"unstable queue: rho = arrival_rate * mean_service = {rho:.6g} "
-                f"must be < 1"
-            )
+        if self.rho >= _MAX_RHO:
+            raise ValueError(f"unstable queue: rho = arrival_rate * "
+                             f"mean_service = {self.rho!r} must be < 1 - 4 eps")
 
     @property
     def rho(self) -> float:
@@ -68,28 +60,35 @@ class CycleMoments:
             )
 
 
-def busy_lst(model: QueueModel, s: float, tol: float = 1e-12) -> float:
+def busy_lst(model: QueueModel, s: float) -> float:
     """Busy-period transform E exp(-s * busy) for s >= 0.
 
-    Iterates g <- beta(s + lam * (1 - g)) from g = 0, which converges
-    monotonically to the minimal (probabilistically correct) root.
+    The smallest root of h(g) = beta(s + lam (1 - g)) - g, which is convex
+    (beta is a Laplace-Stieltjes transform) and positive at 0: a chord
+    through two points left of the root meets 0 left of it too, so secant
+    steps from 0 and beta(s + lam) climb to it with no bracket or derivative,
+    until h(b) stops being positive and falling or b stops moving.  Near
+    s = 0 rounding can pass B(0) = 1 by about eps / (1 - rho): clamped at 1.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"busy_lst requires s >= 0, got {s}; "
                          "busy_cramer_abscissa(model) gives how far below 0 "
                          "the transform stays finite")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    lam = model.arrival_rate
-    g = 0.0
-    for _ in range(_FP_MAX_ITER):
-        g_next = model.service.lst(s + lam * (1.0 - g))
-        if abs(g_next - g) < tol:
-            return g_next
-        g = g_next
-    raise IterationLimitError(
-        f"busy-period fixed point did not reach tol={tol} after "
-        f"{_FP_MAX_ITER} iterations", g)
+    lam, lst = model.arrival_rate, model.service.lst
+
+    def h(g):
+        return lst(s + lam * (1.0 - g)) - g
+
+    a, b = 0.0, lst(s + lam)
+    h_a, h_b = b, h(b)  # h(0) = b
+    while 0.0 < h_b < h_a:
+        step = h_b * (b - a) / (h_a - h_b)
+        if not b + step > b:
+            break
+        a, h_a = b, h_b
+        b += step
+        h_b = h(b)
+    return min(b, 1.0)
 
 
 def busy_mean(model: QueueModel) -> float:

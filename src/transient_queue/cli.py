@@ -17,8 +17,8 @@ import numpy as np
 from . import mm1
 from .analysis import (EXP_WITH_SQRT_T, PURE_EXPONENTIAL, UnfitError,
                        compare_methods, fit_decay_rate, stationary_pk)
-from .busy_period import (IterationLimitError, QueueModel, busy_cramer_abscissa,
-                          busy_lst, busy_mean, cycle_moments)
+from .busy_period import (QueueModel, busy_cramer_abscissa, busy_lst,
+                          busy_mean, cycle_moments)
 from .distributions import parse_service_spec
 from .renewal import (TimeGrid, _csv_text, atomic_write, phi_via_renewal,
                       read_curve_csv, renewal_function, write_curve_csv)
@@ -128,7 +128,7 @@ def _cmd_busy_period(args) -> int:
     summary["cycle_mean"] = cm.cycle_mean
     summary["cycle_second"] = cm.cycle_second
     if args.abscissa:
-        summary["cramer_abscissa"] = busy_cramer_abscissa(model, tol=1e-4)
+        summary["cramer_abscissa"] = busy_cramer_abscissa(model)
     if args.s_grid is not None:
         lo, hi, step = _parse_range(args.s_grid, "--s-grid", 3)
         if not (all(map(math.isfinite, (lo, hi, step))) and step > 0
@@ -267,8 +267,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input, DistributionSpecError included
         print(f"transient-queue: error: {exc}", file=sys.stderr)
         return 2
-    except (IterationLimitError, SeriesTruncationError, UnfitError,
-            CycleTruncationError, OSError) as exc:
+    except (SeriesTruncationError, UnfitError, CycleTruncationError,
+            OSError) as exc:
         print(f"transient-queue: computational error: {exc}", file=sys.stderr)
         return 1
 

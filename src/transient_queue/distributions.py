@@ -229,7 +229,8 @@ class HyperExponential(ServiceDistribution):
         return sum(w * fk / r**k for w, r in zip(self.weights, self.rates))
 
     def _lst(self, s: float) -> float:
-        return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates))
+        return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates)
+                   if w > 0)
 
     def cramer_abscissa(self) -> float:
         return min(r for w, r in zip(self.weights, self.rates) if w > 0)

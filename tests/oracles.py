@@ -35,9 +35,13 @@ def bessel_series_scaled(n: int, x: float) -> float:
 
 
 def mm1_busy_lst_closed_form(lam: float, mu: float, s: float) -> float:
-    """Minimal root of the M/M/1 busy-period quadratic."""
+    """Minimal root of the M/M/1 busy-period quadratic
+    lam g^2 - (lam + mu + s) g + mu = 0, as 2 mu / (a + sqrt(D)): the
+    discriminant D = (mu - lam)^2 + s (2 (lam + mu) + s) and everything
+    after it add positive terms only, so no step cancels near rho = 1."""
     a = lam + mu + s
-    return (a - math.sqrt(a * a - 4.0 * lam * mu)) / (2.0 * lam)
+    disc = (mu - lam) ** 2 + s * (2.0 * (lam + mu) + s)
+    return 2.0 * mu / (a + math.sqrt(disc))
 
 
 def mm1_busy_abscissa_closed_form(lam: float, mu: float) -> float:
@@ -79,6 +83,26 @@ def birth_death_pn(lam: float, mu: float, t: float,
     if not sol.success:
         raise RuntimeError(f"ODE oracle failed: {sol.message}")
     return sol.y[:, -1]
+
+
+def skellam_pn(lam: float, mu: float, t: float, n_max: int) -> np.ndarray:
+    """P_n(t), n = 0 .. n_max, of the M/M/1 queue started empty, as
+    rho^n (d_n + d_{n+1} + (1 - rho) sum_{k >= n+2} d_k), where
+    d_k = P(Poisson(mu t) - Poisson(lam t) = k) is summed from products of
+    Poisson probabilities, each built by the recurrence p_j = p_{j-1} m / j.
+    Every sum has positive terms only and runs until they underflow, so the
+    entries are good to about 1e-13 relative while mu t stays small enough
+    for e^{-mu t} to be a normal number."""
+    n = n_max + 600
+    j = np.arange(1, n)
+    pois_mu = np.cumprod(np.concatenate([[math.exp(-mu * t)], mu * t / j]))
+    pois_lam = np.cumprod(np.concatenate([[math.exp(-lam * t)], lam * t / j]))
+    assert pois_mu[-1] == 0.0 and pois_lam[-1] == 0.0
+    d = np.array([math.fsum(pois_mu[k:] * pois_lam[: n - k]) for k in range(n)])
+    rho = lam / mu
+    return np.array([rho**m * (d[m] + d[m + 1] + (1.0 - rho)
+                               * math.fsum(d[m + 2:]))
+                     for m in range(n_max + 1)])
 
 
 def birth_death_phi(lam: float, mu: float, t: float,

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from transient_queue import (CycleMoments, Deterministic, Erlang, Exponential,
                              HyperExponential, QueueModel, Uniform,
                              busy_cramer_abscissa, busy_lst, busy_mean,
-                             cycle_moments, simulate_cycle)
+                             cycle_moments, parse_service_spec, simulate_cycle)
 
 from oracles import (erlang_busy_abscissa_closed_form,
                      md1_busy_abscissa_closed_form,
@@ -47,8 +48,9 @@ def test_busy_lst_examples():
 
 
 def test_busy_lst_rejects_negative_s():
-    with pytest.raises(ValueError):
-        busy_lst(MM1, -0.01)
+    for s in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="s >= 0"):
+            busy_lst(MM1, s)
 
 
 @pytest.mark.parametrize("model", STABLE_MODELS,
@@ -60,11 +62,48 @@ def test_busy_lst_decreasing_and_bounded(model):
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.999, 0.9999])
+def test_mm1_busy_lst_is_the_closed_form_to_rounding(rho):
+    # the root is flat to first order 1 - rho at s = 0, so rounding in
+    # beta moves it by about eps / (1 - rho)
+    model = QueueModel(rho, Exponential(1.0))
+    bound = 10.0 * sys.float_info.epsilon / (1.0 - rho)
+    for s in [0.0, 1e-6, *np.linspace(0.01, 5.0, 100).tolist()]:
+        exact = mm1_busy_lst_closed_form(rho, 1.0, s)
+        assert abs(busy_lst(model, s) - exact) <= bound, s
+
+
+FIVE_LAWS = ["exp:rate=1", "det:value=1", "erlang:shape=2,rate=2",
+             "hyperexp:w=0.3|0.7,rate=1|2", "uniform:lo=0.5,hi=1.5"]
+
+
+@pytest.mark.parametrize("spec", FIVE_LAWS)
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999, 0.99999])
+def test_busy_lst_in_heavy_traffic(spec, rho, monkeypatch):
+    # in [0, 1] and nonincreasing in s, out to s = inf, each call at
+    # most 40 evaluations of the service transform
+    service = parse_service_spec(spec)
+    model = QueueModel(rho / service.moment(1), service)
+    calls = []
+    lst = type(service).lst
+    monkeypatch.setattr(type(service), "lst",
+                        lambda self, s: calls.append(s) or lst(self, s))
+    s_grid = [0.0, 1e-12, 1e-6, *np.geomspace(1e-4, 1e4, 60).tolist(),
+              math.inf]
+    values = []
+    for s in s_grid:
+        calls.clear()
+        values.append(busy_lst(model, s))
+        assert len(calls) <= 40, s
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
 @pytest.mark.parametrize("model", STABLE_MODELS,
                          ids=lambda m: m.service.spec_string())
 def test_busy_lst_slope_matches_mean(model):
     h = 1e-5
-    slope = -(busy_lst(model, h, tol=1e-14) - busy_lst(model, 0.0, tol=1e-14)) / h
+    slope = -(busy_lst(model, h) - busy_lst(model, 0.0)) / h
     assert slope == pytest.approx(busy_mean(model), rel=1e-3)
 
 
@@ -150,10 +189,11 @@ def test_abscissa_matches_closed_form(model, expected):
 
 
 @settings(max_examples=25, deadline=None)
-@given(lam=st.floats(0.05, 0.9), mu=st.floats(0.95, 4.0), s=st.floats(0.0, 4.0))
+@given(lam=st.floats(0.05, 0.99), mu=st.floats(0.95, 4.0),
+       s=st.floats(0.0, 4.0))
 def test_busy_lst_matches_closed_form_mm1(lam, mu, s):
-    if lam / mu >= 0.95:
+    if lam / mu >= 0.99:
         return
     model = QueueModel(lam, Exponential(mu))
-    assert busy_lst(model, s, tol=1e-13) == pytest.approx(
-        mm1_busy_lst_closed_form(lam, mu, s), abs=1e-9)
+    assert busy_lst(model, s) == pytest.approx(
+        mm1_busy_lst_closed_form(lam, mu, s), abs=1e-12)

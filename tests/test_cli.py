@@ -86,6 +86,15 @@ def test_unstable_model_exits_2(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_load_within_rounding_of_one_exits_2(tmp_path, capsys):
+    # 49 * (1/49) rounds to 1 - 1.1e-16, which is no stable queue
+    out = tmp_path / "busy.json"
+    assert main(["busy-period", "--lambda", "49", "--service", "exp:rate=49",
+                 "-o", str(out)]) == 2
+    assert "unstable" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "renewal", "compare"])
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     out = tmp_path / "x.out"

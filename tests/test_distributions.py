@@ -32,6 +32,8 @@ def test_lst_examples():
     assert Exponential(1.0).lst(1.0) == pytest.approx(0.5)
     assert Exponential(1.0).lst(-0.5) == pytest.approx(2.0)
     assert Exponential(1.0).lst(-1.5) == DIVERGENT
+    # a phase of zero weight plays no part, even where r + s = 0 for it
+    assert HyperExponential((1.0, 0.0), (1.0, 0.5)).lst(-0.5) == 2.0
 
 
 def test_cramer_abscissa_examples():

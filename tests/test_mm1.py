@@ -11,7 +11,8 @@ from transient_queue import (Deterministic, Exponential, Mm1Model,
                              phi_asymptotic, phi_curve, phi_exact, pn_array,
                              theoretical_rate)
 
-from oracles import bessel_series_scaled, birth_death_phi, birth_death_pn
+from oracles import (bessel_series_scaled, birth_death_phi, birth_death_pn,
+                     skellam_pn)
 
 MM1 = Mm1Model(0.5, 1.0)
 
@@ -135,6 +136,16 @@ def test_pn_other_loads_against_oracle():
         assert np.abs(mine - oracle[:41]).max() < 1e-8
 
 
+@pytest.mark.parametrize("lam, t, n_max", [(0.2, 0.5, 40), (0.5, 5.0, 80),
+                                           (0.9, 20.0, 150)])
+def test_pn_top_entries_keep_their_own_suffix_sums(lam, t, n_max):
+    # the entries near n_max sit far past the summands' peak, so each
+    # needs the cut a full margin past n_max + 2 to keep its suffix sum
+    np.testing.assert_allclose(pn_array(Mm1Model(lam, 1.0), t, n_max),
+                               skellam_pn(lam, 1.0, t, n_max),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_pn_rejects_negative():
     with pytest.raises(ValueError):
         pn_array(MM1, 1.0, -1)
@@ -213,7 +224,8 @@ def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
         # rather than return a truncated sum
         with monkeypatch.context() as patch:
             patch.setattr(mm1, "_miller_start_order",
-                          lambda x, log_r=0.0: np.zeros(np.shape(x), int))
+                          lambda x, log_r=0.0, n_min=0:
+                          np.zeros(np.shape(x), int))
             with pytest.raises(SeriesTruncationError) as caught:
                 phi_curve(model, grid)
         assert caught.value.achieved_bound > 2e-17
@@ -301,13 +313,14 @@ def test_requested_orders_past_the_cap_raise(call):
 
 
 def test_cap_boundary_on_requested_orders(monkeypatch):
-    # pn_array's cut is n_max + 2 and the Bessel start n_max + 20 when those
-    # pass the start-order rule; an order equal to the cap still runs
+    # at t = 1, pn_array's cut is n_max + 2 plus the start-order margin
+    # ceil(10 sqrt(1.5) + 20) = 33, and the Bessel start is n_max + 20 once
+    # that passes the rule; an order equal to the cap still runs
     monkeypatch.setattr(mm1, "_PN_TAIL_CAP", 100)
-    assert len(pn_array(MM1, 1.0, 98)) == 99
+    assert len(pn_array(MM1, 1.0, 65)) == 66
     assert len(log_bessel_i_scaled(80, 1.0)) == 81
     with pytest.raises(SeriesTruncationError, match="cap"):
-        pn_array(MM1, 1.0, 99)
+        pn_array(MM1, 1.0, 66)
     with pytest.raises(SeriesTruncationError, match="cap"):
         log_bessel_i_scaled(81, 1.0)
 
@@ -370,6 +383,24 @@ def test_model_validation():
     # rho as lam / mu, must refuse it
     with pytest.raises(ValueError, match="unstable"):
         phi_curve(Mm1Model(49.0, 49.0), TimeGrid(0.5, 3))
+
+
+def test_every_accepted_mm1_model_has_lam_below_mu():
+    # the model's one stability rule reads lam * (1/mu); the series read
+    # lam / mu, which must then be < 1 too.  The pairs sit within a few
+    # ulps of lam = mu, where the two can round to either side of 1
+    rng = np.random.default_rng(4242)
+    mus = 10.0 ** rng.uniform(-3.0, 3.0, 100_000)
+    lams = mus * (1.0 - rng.integers(-2, 9, mus.size) * np.finfo(float).eps)
+    accepted = 0
+    for lam, mu in zip(lams.tolist(), mus.tolist()):
+        try:
+            model = Mm1Model(lam, mu)
+        except ValueError:
+            continue
+        accepted += 1
+        assert mm1._rates(model)[2] < 1.0, (lam, mu)
+    assert accepted > 10_000
 
 
 def test_mm1_model_is_the_exponential_queue_model():
