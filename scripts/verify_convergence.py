@@ -40,19 +40,27 @@ def main() -> int:
     print(f"\nstationary value: {phi_inf:.6f}")
     print(f"closed-form rate: {rate_ref:.6f}\n")
     print(f"{'window':>14} {'fitted rate':>12} {'rel err':>9} {'r^2':>8}")
-    windows = [(20, 80), (40, 100), (60, 150), (80, 200), (100, 300)]
+    windows = [(lo, hi) for lo, hi in
+               [(20, 80), (40, 100), (60, 150), (80, 200), (100, 300)]
+               if hi <= args.t_max]
+    rates = []
     for lo, hi in windows:
-        if hi > args.t_max:
-            continue
         try:
             fit = fit_decay_rate(curve, phi_inf, (lo, hi), EXP_WITH_SQRT_T)
         except UnfitError as exc:  # e.g. the gap has reached rounding
             print(f"[{lo:5g},{hi:5g}] {'unfit':>12}: {exc}")
             continue
+        rates.append(fit.rate)
         rel = abs(fit.rate - rate_ref) / rate_ref
         print(f"[{lo:5g},{hi:5g}] {fit.rate:12.6f} {rel:8.2%} {fit.r_squared:8.5f}")
-    print("\nfitted rates approach the closed-form rate from above as the"
-          "\nwindow moves right (the gap carries an algebraic t^-3/2 factor).")
+    # the claim is made only when the printed rows show it
+    if (len(rates) >= 2 and min(rates) > rate_ref
+            and all(a > b for a, b in zip(rates, rates[1:]))):
+        print("\nfitted rates approach the closed-form rate from above as the"
+              "\nwindow moves right (the gap carries an algebraic t^-3/2 factor).")
+    else:
+        print(f"\n{len(rates)} of {len(windows)} windows fit; no trend in the"
+              " fitted rates is claimed.")
     return 0
 
 

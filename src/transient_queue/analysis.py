@@ -16,7 +16,9 @@ from .simulate import McConfig, estimate_phi, first_cycle_study
 PURE_EXPONENTIAL = "pure_exponential"
 EXP_WITH_SQRT_T = "exp_with_sqrt_t"
 EXP_WITH_T32_CORRECTED = "exp_with_t32_corrected"
-_MODELS = (PURE_EXPONENTIAL, EXP_WITH_SQRT_T, EXP_WITH_T32_CORRECTED)
+# each model's fixed power of t in the gap, and whether it fits an a/t column
+_MODELS = {PURE_EXPONENTIAL: (0.0, False), EXP_WITH_SQRT_T: (0.5, False),
+           EXP_WITH_T32_CORRECTED: (1.5, True)}
 
 _MIN_FIT_POINTS = 10
 
@@ -86,21 +88,18 @@ def fit_decay_rate(curve: Curve, phi_inf: float, window: tuple,
         raise UnfitError(
             f"gap changes sign inside window {window}; curve oscillates "
             f"around phi_inf")
-    y = np.log(np.abs(gap_fit))
+    power, corrected = _MODELS[model]
+    y = np.log(np.abs(gap_fit)) + power * np.log(t_fit)
     # in raw t, a 1/t column far from t ~ 1 falls under lstsq's rank cutoff
     unit = t_fit[-1]
     tau = t_fit / unit
     columns = [np.ones_like(tau), -tau]
-    if model == EXP_WITH_SQRT_T:
-        y = y + 0.5 * np.log(t_fit)
-    elif model == EXP_WITH_T32_CORRECTED:
-        y = y + 1.5 * np.log(t_fit)
+    if corrected:
         columns.append(1.0 / tau)
     design = np.column_stack(columns)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     intercept, rate = float(coef[0]), float(coef[1] / unit)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_res = float(np.sum((y - design @ coef) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if not rate > 0:  # also catches a NaN rate
@@ -111,109 +110,84 @@ def fit_decay_rate(curve: Curve, phi_inf: float, window: tuple,
                      r_squared=r_squared, model=model, n_points=len(t_fit))
 
 
-def _default_fit_window(t_max: float) -> tuple:
-    return (0.25 * t_max, 0.9 * t_max)
+def _max_rel_gap(curve: Curve, reference: Curve):
+    """max |curve - reference| / reference where reference > 0.1, else None."""
+    sel = reference.values > 0.1
+    if not np.any(sel):
+        return None
+    ref = reference.values[sel]
+    return float(np.max(np.abs(curve.values[sel] - ref) / ref))
+
+
+def _mm1_fit(model: QueueModel, phi_inf: float) -> dict:
+    """The gap's t^-3/2 (1 + a/t) form on [2/s*, 7/s*] of its own exact
+    curve, s* the closed-form rate: the compare grid often ends before 7/s*."""
+    rate_ref = mm1.theoretical_rate(model)
+    window = (2.0 / rate_ref, 7.0 / rate_ref)
+    try:
+        curve = mm1.phi_curve(model, TimeGrid(window[1] / 800, 801))
+        fit = fit_decay_rate(curve, phi_inf, window, EXP_WITH_T32_CORRECTED)
+    except (UnfitError, mm1.SeriesTruncationError) as exc:
+        # from about rho = 0.9995 the series passes its cap out at 7/s*
+        return {"error": str(exc)}
+    return {**fit.as_dict(), "theoretical_rate": rate_ref,
+            "rel_err": abs(fit.rate - rate_ref) / rate_ref}
+
+
+def _routes(model: QueueModel, cfg: McConfig, phi_inf: float, methods: list):
+    """The two sampling routes, and the report keys every law shares."""
+    sim = estimate_phi(model, cfg)
+    study = first_cycle_study(model, cfg)
+    renew = renewal_function(study.cycle_cdf)
+    report = {
+        "model": model.as_dict(), "methods": methods,
+        "mc": {"replications": cfg.replications, "base_seed": cfg.base_seed},
+        "grid": {"step": cfg.grid.step, "n_points": cfg.grid.n_points},
+        "phi_stationary": phi_inf, "renewal_warnings": list(renew.warnings)}
+    return report, sim, phi_via_renewal(study.q, renew)
 
 
 def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
-    """Run every applicable method on one grid and cross-compare.
-
-    Methods: exact series (M/M/1 only), renewal-equation pipeline (q and
-    the cycle CDF simulated on first cycles, then the convolution
-    solution), and the direct Monte-Carlo mean-workload estimate.  The
-    M/M/1 decay rate is fitted with ``exp_with_t32_corrected`` on
-    [2/s*, 7/s*] of an exact curve, s* the closed-form rate; other laws fit
-    ``pure_exponential`` to the simulated curve on (0.25, 0.9) t_max.
-    """
-    grid = cfg.grid
-    t = grid.times()
+    """Run the direct Monte-Carlo estimate and the renewal pipeline on one
+    grid.  M/M/1 checks both against the exact series and fits its decay
+    rate with ``_mm1_fit``; other laws check the two against each other and
+    fit ``pure_exponential`` to the simulated curve on (0.25, 0.9) t_max."""
     phi_inf = stationary_pk(model)
-
-    is_mm1 = isinstance(model.service, Exponential)
-    methods = ["simulation", "renewal"]
-    exact = None
-    if is_mm1:
-        methods.insert(0, "exact_series")
-        exact = mm1.phi_curve(model, grid)
-
-    sim_curve = estimate_phi(model, cfg)
-    study = first_cycle_study(model, cfg)
-    renew = renewal_function(study.cycle_cdf)
-    renewal_curve = phi_via_renewal(study.q, renew)
-
-    report: dict = {
-        "model": model.as_dict(),
-        "mc": {"replications": cfg.replications, "base_seed": cfg.base_seed},
-        "grid": {"step": grid.step, "n_points": grid.n_points},
-        "methods": methods,
-        "phi_stationary": phi_inf,
-        "renewal_warnings": list(renew.warnings),
-    }
-
-    reference = exact if exact is not None else sim_curve
-    live = t > 0
-    se = np.where(sim_curve.stderr[live] > 0, sim_curve.stderr[live], np.inf)
-    z = np.abs(sim_curve.values[live] - reference.values[live]) / se
-    if exact is not None:
+    live = cfg.grid.times() > 0
+    if isinstance(model.service, Exponential):
+        exact = mm1.phi_curve(model, cfg.grid)
+        report, sim, renewal = _routes(
+            model, cfg, phi_inf, ["exact_series", "simulation", "renewal"])
+        report["max_rel_gap"] = gap = _max_rel_gap(renewal, exact)
+        se = np.where(sim.stderr[live] > 0, sim.stderr[live], np.inf)
+        z = np.abs(sim.values[live] - exact.values[live]) / se
         report["max_z"] = float(z.max())
-        report["frac_within_3stderr"] = float(np.mean(z <= 3.0))
+        report["frac_within_3stderr"] = frac = float(np.mean(z <= 3.0))
+        report["verdict"] = {
+            "mc_within_3stderr_95pct": frac >= 0.95,
+            "renewal_within_2pct": None if gap is None else gap <= 0.02}
+        report["fit"] = _mm1_fit(model, phi_inf)
+        report["curves"] = {"simulation": sim, "renewal": renewal,
+                            "exact_series": exact}
     else:
+        report, sim, renewal = _routes(
+            model, cfg, phi_inf, ["simulation", "renewal"])
+        report["max_rel_gap"] = _max_rel_gap(renewal, sim)
         # no exact reference: compare the two MC-backed routes against
         # each other, with a small allowance for the renewal grid bias
-        combined = np.sqrt(sim_curve.stderr**2
-                           + np.nan_to_num(renewal_curve.stderr) ** 2)[live]
-        diff = np.abs(renewal_curve.values[live] - sim_curve.values[live])
-        allowance = 0.02 * np.maximum(np.abs(sim_curve.values[live]), 0.05)
-        ok = diff <= 3.0 * combined + allowance
-        report["frac_two_method_agree"] = float(np.mean(ok))
+        combined = np.sqrt(sim.stderr**2 + renewal.stderr**2)[live]
+        diff = np.abs(renewal.values[live] - sim.values[live])
+        allowance = 0.02 * np.maximum(np.abs(sim.values[live]), 0.05)
+        agree = float(np.mean(diff <= 3.0 * combined + allowance))
+        report["frac_two_method_agree"] = agree
         report["max_z"] = float(np.max(diff / np.where(combined > 0,
                                                        combined, np.inf)))
-
-    ref_vals = reference.values
-    sel = ref_vals > 0.1
-    # None (JSON null) when no reference point is large enough to measure
-    report["max_rel_gap"] = None
-    if np.any(sel):
-        rel = np.abs(renewal_curve.values[sel] - ref_vals[sel]) / ref_vals[sel]
-        report["max_rel_gap"] = float(rel.max())
-
-    try:
-        if is_mm1:
-            # the gap's t^-3/2 (1 + a/t) form on [2, 7] in units of 1/s*, on
-            # its own exact curve: the compare grid often ends before 7/s*
-            rate_ref = mm1.theoretical_rate(model)
-            window = (2.0 / rate_ref, 7.0 / rate_ref)
-            fit_curve = mm1.phi_curve(
-                model, TimeGrid(step=window[1] / 800, n_points=801))
-            fit = fit_decay_rate(fit_curve, phi_inf, window,
-                                 EXP_WITH_T32_CORRECTED)
-            report["fit"] = fit.as_dict()
-            report["fit"]["theoretical_rate"] = rate_ref
-            report["fit"]["rel_err"] = abs(fit.rate - rate_ref) / rate_ref
-        else:
-            report["fit"] = fit_decay_rate(
-                sim_curve, phi_inf, _default_fit_window(grid.horizon),
-                PURE_EXPONENTIAL).as_dict()
-    except (UnfitError, mm1.SeriesTruncationError) as exc:
-        # near rho = 1, 7/s* is far out: the series' start order there
-        # passes its cap from about rho = 0.9995 (by the start-order rule)
-        report["fit"] = {"error": str(exc)}
-
-    verdict = {}
-    if exact is not None:
-        verdict["mc_within_3stderr_95pct"] = report["frac_within_3stderr"] >= 0.95
-        verdict["renewal_within_2pct"] = (
-            None if report["max_rel_gap"] is None
-            else report["max_rel_gap"] <= 0.02)
-    else:
-        verdict["two_method_agreement_95pct"] = (
-            report["frac_two_method_agree"] >= 0.95)
-    report["verdict"] = verdict
-
-    report["curves"] = {
-        "simulation": sim_curve,
-        "renewal": renewal_curve,
-    }
-    if exact is not None:
-        report["curves"]["exact_series"] = exact
+        report["verdict"] = {"two_method_agreement_95pct": agree >= 0.95}
+        window = (0.25 * cfg.grid.horizon, 0.9 * cfg.grid.horizon)
+        try:
+            report["fit"] = fit_decay_rate(sim, phi_inf, window,
+                                           PURE_EXPONENTIAL).as_dict()
+        except UnfitError as exc:
+            report["fit"] = {"error": str(exc)}
+        report["curves"] = {"simulation": sim, "renewal": renewal}
     return report

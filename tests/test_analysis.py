@@ -299,3 +299,31 @@ def test_compare_methods_md1():
     assert report["methods"] == ["simulation", "renewal"]
     assert report["frac_two_method_agree"] >= 0.95
     assert report["verdict"]["two_method_agreement_95pct"]
+
+
+COMMON_KEYS = {"model", "mc", "grid", "methods", "phi_stationary",
+               "renewal_warnings", "max_rel_gap", "max_z", "verdict", "fit",
+               "curves"}
+MM1_SHAPE = (COMMON_KEYS | {"frac_within_3stderr"},
+             {"mc_within_3stderr_95pct", "renewal_within_2pct"},
+             ["exact_series", "simulation", "renewal"],
+             ["simulation", "renewal", "exact_series"])
+FIT_KEYS = {"rate", "intercept", "window", "r_squared", "model", "n_points"}
+
+
+@pytest.mark.parametrize("model, shape, fit_keys", [
+    (MM1, MM1_SHAPE, FIT_KEYS | {"theoretical_rate", "rel_err"}),
+    (QueueModel(0.5, Deterministic(1.0)),
+     (COMMON_KEYS | {"frac_two_method_agree"}, {"two_method_agreement_95pct"},
+      ["simulation", "renewal"], ["simulation", "renewal"]),
+     {"error"}),  # 7 points in (0.25, 0.9) t_max: too few to fit
+    (QueueModel(0.9996, Exponential(1.0)), MM1_SHAPE, {"error"}),
+], ids=["mm1", "md1", "mm1-past-the-series-cap"])
+def test_compare_methods_report_shape(model, shape, fit_keys):
+    keys, verdict, methods, curves = shape
+    report = compare_methods(model, McConfig(200, 3, TimeGrid(0.5, 11)))
+    assert set(report) == keys
+    assert set(report["verdict"]) == verdict
+    assert report["methods"] == methods
+    assert list(report["curves"]) == curves
+    assert set(report["fit"]) == fit_keys

@@ -1,8 +1,10 @@
-"""Every package name the benchmark and the scripts import must exist, and
-the test oracles share no workload code with the package."""
+"""Every package name the benchmark and the scripts import must exist and
+take the arguments they pass it, and the test oracles share no workload
+code with the package."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,41 @@ def test_imported_names_resolve(path):
     missing = [f"{module}.{name}" for module, name in package_imports(path)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def package_calls(path):
+    """(line, name, object, call) for each call of a name imported from
+    the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "transient_queue"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(
+                    importlib.import_module(node.module), alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in imported:
+            yield node.lineno, node.func.id, imported[node.func.id], node
+
+
+def test_package_calls_pass_accepted_arguments():
+    # a parameter dropped from the package while the benchmark still
+    # passes it fails here, not in the benchmark run
+    rejected, n_keywords = [], 0
+    for path in SOURCES:
+        for line, name, obj, call in package_calls(path):
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                continue
+            keywords = {k.arg: None for k in call.keywords if k.arg}
+            n_keywords += len(keywords)
+            try:
+                inspect.signature(obj).bind_partial(*call.args, **keywords)
+            except TypeError as exc:
+                rejected.append(f"{path.name}:{line} {name}: {exc}")
+    assert rejected == []
+    assert n_keywords > 0  # threads=, seed=, tol=, paper_literal=, ...
 
 
 def oracle_imports_from(module_name):
