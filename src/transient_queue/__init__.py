@@ -15,8 +15,8 @@ from .distributions import (DIVERGENT, Deterministic, DistributionSpecError,
                             Erlang, Exponential, HyperExponential,
                             ServiceDistribution, Uniform, parse_service_spec)
 from .mm1 import (Mm1Model, SeriesTruncationError, bessel_i_scaled_array,
-                  log_bessel_i_scaled, phi_asymptotic, phi_curve, phi_exact,
-                  pn_array, theoretical_rate)
+                  phi_asymptotic, phi_curve, phi_exact, pn_array,
+                  theoretical_rate)
 from .renewal import (Curve, TimeGrid, phi_via_renewal, read_curve_csv,
                       renewal_function, renewal_residual, write_curve_csv)
 from .simulate import (CyclePath, CycleTruncationError, FirstCycleStats,

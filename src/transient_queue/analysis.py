@@ -159,10 +159,13 @@ def compare_methods(model: QueueModel, cfg: McConfig) -> dict:
         report, sim, renewal = _routes(
             model, cfg, phi_inf, ["exact_series", "simulation", "renewal"])
         report["max_rel_gap"] = gap = _max_rel_gap(renewal, exact)
-        se = np.where(sim.stderr[live] > 0, sim.stderr[live], np.inf)
-        z = np.abs(sim.values[live] - exact.values[live]) / se
+        se = sim.stderr[live]
+        diff = np.abs(sim.values[live] - exact.values[live])
+        z = diff / np.where(se > 0, se, np.inf)
         report["max_z"] = float(z.max())
-        report["frac_within_3stderr"] = frac = float(np.mean(z <= 3.0))
+        # a point with no spread agrees only where it hits the exact value
+        within = np.where(se > 0, z <= 3.0, diff == 0.0)
+        report["frac_within_3stderr"] = frac = float(np.mean(within))
         report["verdict"] = {
             "mc_within_3stderr_95pct": frac >= 0.95,
             "renewal_within_2pct": None if gap is None else gap <= 0.02}

@@ -67,8 +67,9 @@ def busy_lst(model: QueueModel, s: float) -> float:
     (beta is a Laplace-Stieltjes transform) and positive at 0: a chord
     through two points left of the root meets 0 left of it too, so secant
     steps from 0 and beta(s + lam) climb to it with no bracket or derivative,
-    until h(b) stops being positive and falling or b stops moving.  Near
-    s = 0 rounding can pass B(0) = 1 by about eps / (1 - rho): clamped at 1.
+    until h(b) stops being positive and falling; a step lost to b's rounding
+    repeats h(b), which ends the loop too.  Near s = 0 rounding can pass
+    B(0) = 1 by about eps / (1 - rho): clamped at 1.
     """
     if not s >= 0:
         raise ValueError(f"busy_lst requires s >= 0, got {s}; "
@@ -83,8 +84,6 @@ def busy_lst(model: QueueModel, s: float) -> float:
     h_a, h_b = b, h(b)  # h(0) = b
     while 0.0 < h_b < h_a:
         step = h_b * (b - a) / (h_a - h_b)
-        if not b + step > b:
-            break
         a, h_a = b, h_b
         b += step
         h_b = h(b)
@@ -123,10 +122,11 @@ def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:
     z = -s + lam * (1 - g), so s = lam * (1 - beta(z)) - z.  The largest s
     with a real root is the maximum of that concave function over
     z in (-delta0, 0], delta0 the service abscissa; golden section narrows
-    the z-bracket [a, b] until its width is at most ``tol * |a|``.  ``tol``
-    is relative because the maximizer z* < 0 shrinks to 0 as rho -> 1; since
-    a <= z* < 0 the loop ends, and since the maximum is flat, the relative
-    error in s* is second order in ``tol``.
+    the z-bracket [a, b], from a = max(log(rho) / b1, -delta0) and b = 0,
+    until its width is at most ``tol * |a|``.  ``tol`` is relative because
+    the maximizer z* < 0 shrinks to 0 as rho -> 1; since a <= z* < 0 the
+    loop ends, and since the maximum is flat, the relative error in s* is
+    second order in ``tol``.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -135,12 +135,10 @@ def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:
     def f(z: float) -> float:
         return lam * (1.0 - model.service.lst(z)) - z
 
-    a = -model.service.cramer_abscissa()
-    if math.isinf(a):
-        # bounded service: f falls without bound as z -> -inf
-        a = -1.0
-        while f(a) >= f(0.5 * a):
-            a *= 2.0
+    # z* solves lam E[S e^{-zS}] = 1, and for z < 0 Jensen gives
+    # E[S e^{-zS}] >= b1 e^{-z b1}, so z* >= log(rho) / b1 (equal for det)
+    a = max(math.log(model.rho) / model.service.moment(1),
+            -model.service.cramer_abscissa())
     b = 0.0
     shrink = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - shrink * (b - a), a + shrink * (b - a)

@@ -134,15 +134,9 @@ def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
-    """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max."""
-    return np.exp(log_bessel_i_scaled(n_max, x))
+    """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max.
 
-
-def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
-    """log(e^{-x} I_n(x)) for n = 0 .. n_max.
-
-    Stays accurate far past the point where the values themselves
-    underflow; see ``_log_bessel_rows`` for the recurrence.  Raises
+    See ``_log_bessel_rows`` for the recurrence.  Raises
     ``SeriesTruncationError`` if the recurrence would start past
     _PN_TAIL_CAP.
     """
@@ -151,15 +145,16 @@ def log_bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if x == 0.0:
-        out = np.full(n_max + 1, -np.inf)
-        out[0] = 0.0
+        out = np.zeros(n_max + 1)
+        out[0] = 1.0
         return out
     start = max(int(_miller_start_order(x)), n_max + 20)
     if start > _PN_TAIL_CAP:
         raise SeriesTruncationError(
             f"the Bessel values at x = {x:.6g} need order {start}, past the "
             f"cap {_PN_TAIL_CAP}", math.inf)
-    return _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1]
+    return np.exp(
+        _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1])
 
 
 def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):

@@ -154,7 +154,11 @@ def read_curve_csv(path) -> Curve:
         if not np.all(np.isfinite(column)):
             raise ValueError(f"curve file {path} has a non-numeric, empty "
                              f"or non-finite cell")
+    if t[0] != 0.0:
+        raise ValueError(f"curve file {path} starts at t = {t[0]:g}, not at 0")
     step = t[1] - t[0]
+    if not step > 0:
+        raise ValueError(f"curve file {path} has times that do not increase")
     if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
         raise ValueError(f"curve file {path} is not on a uniform grid")
     return Curve(TimeGrid(step=float(step), n_points=len(t)), values, stderr)

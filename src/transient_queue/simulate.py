@@ -63,8 +63,9 @@ class McConfig:
     grid: TimeGrid
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        # one replication has no standard error
+        if self.replications < 2:
+            raise ValueError(f"replications must be >= 2, got {self.replications}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
@@ -293,10 +294,8 @@ def _cycle_blocks(model: QueueModel, rng: np.random.Generator, size: int,
 def _mean_se(s1: np.ndarray, s2: np.ndarray, reps: int):
     """Pointwise mean and its standard error from the sums of x and x^2."""
     mean = s1 / reps
-    if reps > 1:
-        var = np.maximum(s2 - reps * mean**2, 0.0) / (reps - 1)
-        return mean, np.sqrt(var / reps)
-    return mean, np.zeros_like(mean)
+    var = np.maximum(s2 - reps * mean**2, 0.0) / (reps - 1)
+    return mean, np.sqrt(var / reps)
 
 
 def estimate_phi(model: QueueModel, cfg: McConfig, threads: int = 1) -> Curve:

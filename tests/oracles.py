@@ -112,6 +112,18 @@ def birth_death_phi(lam: float, mu: float, t: float,
     return float(np.dot(p, np.arange(n_states))) / mu
 
 
+def rbm_mean_ratio(tau: float) -> float:
+    """H_1(tau) = 1 - 2 (1 + tau) Phi^c(sqrt tau) + 2 sqrt(tau) phi(sqrt tau),
+    the mean at time tau of reflected Brownian motion with drift -1 and
+    variance 1 started at 0, over its stationary mean 1/2 (Abate and Whitt,
+    1987): the heavy-traffic limit of phi(t) / phi_inf on the time scale
+    t = tau lam E S^2 / (1 - rho)^2."""
+    root = math.sqrt(tau)
+    upper_tail = 0.5 * math.erfc(root / math.sqrt(2.0))
+    density = math.exp(-0.5 * tau) / math.sqrt(2.0 * math.pi)
+    return 1.0 - 2.0 * (1.0 + tau) * upper_tail + 2.0 * root * density
+
+
 def poisson_renewal(t):
     """Renewal function (zeroth term included) for Exp(1) cycles."""
     return 1.0 + np.asarray(t, dtype=float)

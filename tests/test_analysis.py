@@ -275,6 +275,21 @@ def test_compare_methods_reports_coarse_grid():
     assert report["renewal_warnings"] == ["coarse_grid"]
 
 
+def test_compare_methods_zero_stderr_is_no_agreement():
+    # with 2 replications both paths are empty at some live points where
+    # the exact phi > 0: their standard error is 0 and they miss the exact
+    # value, so they count against the verdict, not for it
+    report = compare_methods(MM1, McConfig(2, 11, grid(0.05, 10.0)))
+    sim = report["curves"]["simulation"]
+    exact = report["curves"]["exact_series"]
+    live = sim.grid.times() > 0
+    se, diff = sim.stderr[live], np.abs(sim.values - exact.values)[live]
+    assert np.any((se == 0) & (diff > 0))
+    assert report["frac_within_3stderr"] == 188 / 200
+    assert not report["verdict"]["mc_within_3stderr_95pct"]
+    assert report["max_z"] == np.max(diff[se > 0] / se[se > 0])
+
+
 def test_compare_methods_reports_a_fit_the_series_cannot_reach(monkeypatch):
     # the compare grid (t <= 10) needs series orders up to about 64, under
     # the cap; the fit's own curve out to 7/s* = 82 needs 151 past t = 64.1

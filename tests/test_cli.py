@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from transient_queue import (Exponential, McConfig, Mm1Model, QueueModel,
                              TimeGrid, first_cycle_study, phi_exact,
                              phi_via_renewal, renewal_function,
                              write_curve_csv)
-from transient_queue.cli import main
+from transient_queue.cli import build_parser, main
 from transient_queue.renewal import COARSE_GRID_WARNING
 
 BIN = [sys.executable, "-m", "transient_queue.cli"]
@@ -103,6 +105,16 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
                  "--seed", "-1", "-o", str(out)])
     assert code == 2
     assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_replication_exits_2(tmp_path, capsys):
+    # one replication has no standard error to write
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--lambda", "0.5", "--service", "exp:rate=1",
+                 "--t-max", "1", "--step", "0.5", "--reps", "1",
+                 "--seed", "1", "-o", str(out)]) == 2
+    assert "replications must be >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -228,6 +240,60 @@ def test_fit_rate_pipeline(tmp_path, capsys):
     assert fit["phi_inf"] == pytest.approx(1.0)
     assert fit["model"] == "exp_with_sqrt_t"
     assert fit["rate"] == pytest.approx(0.0986, abs=2e-3)
+
+
+def test_fit_rate_service_gives_the_same_fit_as_mu(tmp_path, capsys):
+    curve_path = tmp_path / "exact.csv"
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "80",
+                 "--step", "0.2", "-o", str(curve_path)]) == 0
+    argv = ["fit-rate", "--input", str(curve_path), "--window", "20:80",
+            "--lambda", "0.5"]
+    capsys.readouterr()
+    assert main(argv + ["--service", "exp:rate=1"]) == 0
+    by_service = capsys.readouterr().out
+    assert main(argv + ["--mu", "1"]) == 0
+    assert by_service == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-rate", "--window", "1:2:3", "--phi-inf", "1"],
+     "--window expects 2 colon-separated numbers"),
+    (["fit-rate", "--window", "a:b", "--phi-inf", "1"],
+     "bad number in --window"),
+    (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+      "--s-grid", "0:x:1"], "bad number in --s-grid"),
+    (["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "0.05",
+      "--step", "0.1"], "--t-max must cover at least one step"),
+], ids=["window-parts", "window-text", "s-grid-text", "t-max-below-step"])
+def test_malformed_range_exits_2_with_its_message(tmp_path, capsys, argv,
+                                                  message):
+    out = tmp_path / "out.csv"
+    if argv[0] == "fit-rate":
+        curve_path = tmp_path / "exact.csv"
+        assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max",
+                     "10", "--step", "0.5", "-o", str(curve_path)]) == 0
+        argv = argv + ["--input", str(curve_path)]
+    else:
+        argv = argv + ["-o", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_cli_option_is_exercised():
+    # a flag that no test or benchmark passes is a branch nothing runs
+    root = Path(__file__).resolve().parent.parent
+    text = "".join(p.read_text() for p in
+                   [*root.glob("tests/*.py"), *root.glob("perfbench/*.py")])
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    unused = [f"{name} {action.option_strings}"
+              for name, sub in subparsers.choices.items()
+              for action in sub._actions
+              if not isinstance(action, argparse._HelpAction)
+              and not any(f'"{flag}"' in text or f"'{flag}'" in text
+                          for flag in action.option_strings)]
+    assert unused == []
 
 
 def test_fit_rate_needs_phi_inf_source(tmp_path):

@@ -7,12 +7,11 @@ import scipy.special
 from transient_queue import mm1
 from transient_queue import (Deterministic, Exponential, Mm1Model,
                              QueueModel, SeriesTruncationError, TimeGrid,
-                             bessel_i_scaled_array, log_bessel_i_scaled,
-                             phi_asymptotic, phi_curve, phi_exact, pn_array,
-                             theoretical_rate)
+                             bessel_i_scaled_array, phi_asymptotic,
+                             phi_curve, phi_exact, pn_array, theoretical_rate)
 
 from oracles import (bessel_series_scaled, birth_death_phi, birth_death_pn,
-                     skellam_pn)
+                     rbm_mean_ratio, skellam_pn)
 
 MM1 = Mm1Model(0.5, 1.0)
 
@@ -50,7 +49,9 @@ def test_bessel_normalization_identity():
 
 def test_log_bessel_beyond_underflow():
     # values underflow around n ~ 800 at x=10; the log form keeps going
-    logs = log_bessel_i_scaled(2000, 10.0)
+    x = np.array([10.0])
+    start = np.maximum(mm1._miller_start_order(x), 2020)
+    logs = mm1._log_bessel_rows(x, start)[0, :2001]
     assert np.all(np.isfinite(logs))
     assert np.all(np.diff(logs) < 0)
     # spot check: I_n(x) ~ (x/2)^n / n! * (1 + (x/2)^2/(n+1) + ...)
@@ -169,6 +170,19 @@ def test_phi_gap_monotone_decay():
     ts = np.arange(5.0, 60.0, 2.5)
     gaps = np.abs([phi_exact(MM1, float(t)) - 1.0 for t in ts])
     assert np.all(np.diff(gaps) < 0)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.95, 0.99, 0.999])
+def test_phi_approaches_the_rbm_mean_in_heavy_traffic(rho):
+    # on the time scale t = tau lam E S^2 / (1 - rho)^2, phi(t) / phi_inf
+    # tends to the reflected Brownian motion's H_1(tau) as rho -> 1; at
+    # these loads it sits below H_1, by at most 0.5 (1 - rho)
+    model = Mm1Model(rho, 1.0)
+    phi_inf = rho / (1.0 - rho)
+    for tau in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0):
+        t = tau * rho * 2.0 / (1.0 - rho) ** 2
+        err = phi_exact(model, t) / phi_inf - rbm_mean_ratio(tau)
+        assert -0.5 * (1.0 - rho) <= err <= 0.0, (tau, err)
 
 
 def test_phi_curve_matches_pointwise():
@@ -300,10 +314,9 @@ def test_series_where_rho_k_underflows():
 
 @pytest.mark.parametrize("call", [
     lambda: pn_array(MM1, 1.0, 300_000),
-    lambda: log_bessel_i_scaled(300_000, 1.0),
     lambda: bessel_i_scaled_array(300_000, 1.0),
-    lambda: log_bessel_i_scaled(0, 1.0e9),   # the start order alone
-], ids=["pn_array", "log_bessel", "bessel", "bessel-large-x"])
+    lambda: bessel_i_scaled_array(0, 1.0e9),   # the start order alone
+], ids=["pn_array", "bessel", "bessel-large-x"])
 def test_requested_orders_past_the_cap_raise(call):
     # the orders the caller asks for count against the cap, not only the
     # start-order rule, and the call raises before any row is built
@@ -318,11 +331,11 @@ def test_cap_boundary_on_requested_orders(monkeypatch):
     # that passes the rule; an order equal to the cap still runs
     monkeypatch.setattr(mm1, "_PN_TAIL_CAP", 100)
     assert len(pn_array(MM1, 1.0, 65)) == 66
-    assert len(log_bessel_i_scaled(80, 1.0)) == 81
+    assert len(bessel_i_scaled_array(80, 1.0)) == 81
     with pytest.raises(SeriesTruncationError, match="cap"):
         pn_array(MM1, 1.0, 66)
     with pytest.raises(SeriesTruncationError, match="cap"):
-        log_bessel_i_scaled(81, 1.0)
+        bessel_i_scaled_array(81, 1.0)
 
 
 # -------------------------------------------------------------- asymptotic

@@ -388,15 +388,27 @@ def test_rewritten_file_keeps_its_mode(tmp_path):
     assert path.read_text().startswith("t,value")
 
 
-@pytest.mark.parametrize("text", [
-    "", "\n\n", "t,value\n0,1\n0.5,abc\n", "t,value\n0,1\n0.5,nan\n",
-    "t,value\n0,1\n0.5,\n", "t,value,stderr\n0,1,0.1\n0.5,2,x\n",
-], ids=["empty", "blank", "text", "nan", "missing", "stderr-text"])
-def test_read_curve_csv_rejects_malformed(tmp_path, text):
+@pytest.mark.parametrize("text, reason", [
+    ("", "empty"), ("\n\n", "empty"),
+    ("t,value\n0,1\n0.5,abc\n", "non-numeric"),
+    ("t,value\n0,1\n0.5,nan\n", "non-numeric"),
+    ("t,value\n0,1\n0.5,\n", "non-numeric"),
+    ("t,value,stderr\n0,1,0.1\n0.5,2,x\n", "non-numeric"),
+    ("time,value\n0,1\n0.5,2\n", "no 't' column"),
+    ("t,stderr\n0,1\n0.5,2\n", "no 'value'"),
+    ("t,value\n0,1\n", "fewer than two rows"),
+    ("t,value\n0,1\n0.5,2\n1.5,3\n", "uniform grid"),
+    ("t,value\n20,1\n20.5,2\n21,3\n", "starts at t = 20,"),
+    ("t,value\n0,1\n-0.5,2\n-1,3\n", "do not increase"),
+], ids=["empty", "blank", "text", "nan", "missing", "stderr-text",
+        "no-t", "no-value", "one-row", "non-uniform", "not-from-0",
+        "decreasing"])
+def test_read_curve_csv_rejects_malformed(tmp_path, text, reason):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match="bad.csv"):
+    with pytest.raises(ValueError, match="bad.csv") as caught:
         read_curve_csv(path)
+    assert reason in str(caught.value)
 
 
 def test_curve_validation():

@@ -578,6 +578,9 @@ def test_phi_tail_agrees_with_stationary():
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(0, 1, grid(0.5, 5.0))
+    # one replication has no standard error
+    with pytest.raises(ValueError, match="replications must be >= 2"):
+        McConfig(1, 1, grid(0.5, 5.0))
     with pytest.raises(ValueError, match="base_seed"):
         McConfig(10, -1, grid(0.5, 5.0))
 
