@@ -21,7 +21,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ap.add_argument("--mu", type=float, default=1.0)
-    ap.add_argument("--t-max", type=float, default=300.0)
+    ap.add_argument("--t-max", type=float, default=250.0)
     ap.add_argument("--step", type=float, default=0.25)
     ap.add_argument("--out", default=None, help="optional CSV dump of the curve")
     args = ap.parse_args()
@@ -41,7 +41,7 @@ def main() -> int:
     print(f"closed-form rate: {rate_ref:.6f}\n")
     print(f"{'window':>14} {'fitted rate':>12} {'rel err':>9} {'r^2':>8}")
     windows = [(lo, hi) for lo, hi in
-               [(20, 80), (40, 100), (60, 150), (80, 200), (100, 300)]
+               [(20, 80), (40, 100), (60, 150), (80, 200), (100, 250)]
                if hi <= args.t_max]
     rates = []
     for lo, hi in windows:

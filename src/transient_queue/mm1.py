@@ -109,10 +109,9 @@ def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     begins = {}
     for j, s in enumerate(start.tolist()):
         begins.setdefault(s, []).append(j)
-    q[-1] += x / (2.0 * (width + 1))
     inv = np.empty(len(x))
-    prev = q[-1]
-    for k, row in zip(range(width - 2, -1, -1), q[-2::-1]):
+    prev = np.full(len(x), np.inf)  # so the top row starts as 2 width / x
+    for k, row in zip(range(width - 1, -1, -1), q[::-1]):
         np.reciprocal(prev, inv)
         np.add(row, inv, row)
         cols = begins.get(k)

@@ -20,11 +20,12 @@ from typing import Optional
 import numpy as np
 
 COARSE_GRID_WARNING = "coarse_grid"
-# points per block of the renewal solve.  Each block costs one Python step
+# points per block of the renewal solve.  Each block costs one Python call
 # and two direct convolutions of about _BLOCK^2 multiply-adds (its in-block
 # solve, and its lags below _BLOCK into the next block); the FFT pushes of
 # the longer lags cost O(n log^2 n) for any block size.  A power of two makes
-# every FFT size one; 256 ran fastest of 64..512 at n = 4001, 8001 and 20001
+# every FFT size one and every split of the solve a whole number of blocks;
+# 256 ran fastest of 64..512 at n = 4001, 8001 and 20001
 _BLOCK = 256
 
 
@@ -185,14 +186,10 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     Collecting the weight of each H_m gives, for i >= 1,
       (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
     c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  That
-    lower-triangular Toeplitz system is solved in blocks of _BLOCK points
-    by a relaxed scheme (Hairer, Lubich & Schlichte 1985).  The in-block
-    matrix, the same for every block, is inverted once as a Toeplitz
-    matrix, whose inverse is again lower-triangular Toeplitz.  The history
-    reaches a block by two routes: lags below _BLOCK from the block just
-    before it, directly; and the longer lags from every earlier block, by
-    FFT, each finished dyadic span of blocks pushed onto the span of equal
-    length after it.
+    lower-triangular Toeplitz system is solved by halving in the relaxed
+    scheme of Hairer, Lubich & Schlichte (1985), ``_relaxed_solve``.  The
+    matrix of a span of _BLOCK points, the same for every span, is inverted
+    once as a Toeplitz matrix, whose inverse is lower-triangular Toeplitz.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
@@ -206,33 +203,9 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     v[0] = 1.0 / (1.0 - c[0])
     for k in range(1, block):
         v[k] = np.dot(c[1 : k + 1], v[k - 1 :: -1]) * v[0]
-    spectra = {}  # FFT size -> spectrum of c with its lags below block zeroed
-
-    def far_spectrum(size):
-        if size not in spectra:
-            far = np.zeros(size)
-            lags = c[block:size]
-            far[block : block + len(lags)] = lags
-            spectra[size] = np.fft.rfft(far)
-        return spectra[size]
-
     H = np.empty(n)
     H[0] = 1.0
-    acc = 1.0 + 0.5 * dF  # right-hand side, plus the history pushed so far
-    for j, a in enumerate(range(1, n, block)):
-        e = min(a + block, n)
-        H[a:e] = np.convolve(v[: e - a], acc[a:e])[: e - a]
-        if e == n:
-            break
-        # blocks j+1-L .. j (L = lowbit(j+1)) onto the next `span` points;
-        # a full linear product of size 2 * span keeps them free of wrap
-        span = block * ((j + 1) & -(j + 1))
-        push = np.fft.irfft(np.fft.rfft(H[e - span : e], 2 * span)
-                            * far_spectrum(2 * span), 2 * span)[span:]
-        acc[e : e + span] += push[: n - e]
-        # this block's lags 1 .. block-1 into the next block
-        near = np.convolve(H[a:e], c[1:block])[block - 1 :]
-        acc[e : e + block - 1] += near[: n - e]
+    _relaxed_solve(1.0 + 0.5 * dF[1:], H[1:], c, v, {})
 
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied
@@ -241,6 +214,31 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     if mean_est > 0 and grid.step > mean_est / 10.0:
         warnings = (COARSE_GRID_WARNING,)
     return Curve(grid, H, warnings=warnings)
+
+
+def _relaxed_solve(acc, H, c, v, spectra) -> None:
+    """Fill ``H`` in place from ``acc``, the right-hand side plus the
+    history pushed so far.  Up to len(v) points are solved directly by the
+    in-block inverse ``v``; more by solving the first h (the largest power
+    of two below their number), pushing their lags ``c`` onto the rest and
+    solving that.  ``spectra`` caches per h the FFT of c's lags >= len(v)."""
+    m = len(acc)
+    block = len(v)
+    if m <= block:
+        H[:] = np.convolve(v[:m], acc)[:m]
+        return
+    h = 1 << (m - 1).bit_length() - 1
+    _relaxed_solve(acc[:h], H[:h], c, v, spectra)
+    if h not in spectra:
+        far = c[: 2 * h].copy()
+        far[:block] = 0.0
+        spectra[h] = np.fft.rfft(far, 2 * h)
+    # the long lags by a linear FFT product, which wraps only below h, then
+    # lags 1 .. block-1 directly from the last block-1 points solved
+    acc[h:] += np.fft.irfft(np.fft.rfft(H[:h], 2 * h) * spectra[h], 2 * h)[h:m]
+    acc[h : h + block - 1] += np.convolve(
+        H[h - block + 1 : h], c[1:block])[block - 2 :][: m - h]
+    _relaxed_solve(acc[h:], H[h:], c, v, spectra)
 
 
 def renewal_residual(H: Curve, cycle_cdf: Curve) -> np.ndarray:

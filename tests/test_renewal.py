@@ -1,5 +1,6 @@
 import errno
 import functools
+import gc
 import os
 import stat
 
@@ -133,12 +134,15 @@ CDFS = {"exp": lambda t: Exponential(1.0).cdf(t),
             heavy_first_cycles(0.01, 8001).cycle_cdf.values[: len(t)]}
 
 
-# block and dyadic-span edges: blocks start at t_1, so n = k * _BLOCK + 1
-# ends the k-th block and sends the pushes of the span it closes
+# halving edges: the m = n - 1 points after t_0 are solved directly when
+# m <= _BLOCK, else split at the largest power of two below m; so
+# n = 2^k * _BLOCK + 1 halves exactly and one more point leaves an upper
+# half of one point
 @pytest.mark.parametrize("law", sorted(CDFS))
 @pytest.mark.parametrize("n", [2, 3, 64, 65, 129, _BLOCK - 1, _BLOCK,
                                _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1,
-                               4 * _BLOCK + 1, 8 * _BLOCK + 1, 8001])
+                               4 * _BLOCK + 1, 8 * _BLOCK + 1,
+                               16 * _BLOCK + 1, 16 * _BLOCK + 2, 8001])
 def test_renewal_function_matches_pointwise_recursion(law, n):
     grid = TimeGrid(step=0.01, n_points=n)
     F = CDFS[law](grid.times())
@@ -153,6 +157,20 @@ def test_renewal_residual_at_8001_points(law):
     F = Curve(grid, CDFS[law](grid.times()))
     H = renewal_function(F)
     assert np.abs(renewal_residual(H, F)).max() <= 1e-14 * H.values[-1]
+
+
+def test_renewal_function_leaves_no_reference_cycle():
+    # a cycle (say, a recursive closure) would hold each solve's FFT
+    # spectra until the cyclic collector runs, raising peak memory
+    grid = TimeGrid(step=0.01, n_points=8001)
+    F = Curve(grid, Erlang(2, 1.0).cdf(grid.times()))
+    gc.collect()
+    gc.disable()
+    try:
+        renewal_function(F)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_step_halving_order():

@@ -10,15 +10,17 @@ from transient_queue import (CycleTruncationError, Deterministic, Exponential,
                              HyperExponential, McConfig, Mm1Model,
                              QueueModel, TimeGrid, busy_cramer_abscissa,
                              busy_mean, cycle_moments, estimate_phi,
-                             estimate_stationary, first_cycle_study, phi_exact,
-                             simulate_cycle, stationary_pk)
+                             estimate_stationary, first_cycle_study,
+                             parse_service_spec, phi_exact, simulate_cycle,
+                             stationary_pk)
 from transient_queue import simulate
 from transient_queue.simulate import (_DOMAIN_PHI, _DOMAIN_STATIONARY, _cells,
                                       _cycle_blocks, _row_blocks, _stream,
                                       _workload_sums)
 
 from oracles import (cycles_by_lindley, first_cycles_by_simulate_cycle,
-                     phi_by_cycle_concatenation, workload_by_lindley)
+                     phi_by_cycle_concatenation, rbm_mean_ratio,
+                     workload_by_lindley)
 
 MM1 = QueueModel(0.5, Exponential(1.0))
 MD1 = QueueModel(0.5, Deterministic(1.0))
@@ -371,6 +373,24 @@ def test_estimate_phi_vs_cycle_concatenation_oracle():
     z = np.abs(fast.values[1:] - slow.values[1:]) / se
     assert z.max() <= 4.0
     assert np.mean(z <= 3.0) >= 0.9
+
+
+@pytest.mark.parametrize("spec, rho", [("det:value=1", 0.9),
+                                       ("det:value=1", 0.95),
+                                       ("hyperexp:w=0.5|0.5,rate=0.6|3", 0.9)])
+def test_estimate_phi_approaches_the_rbm_mean_in_heavy_traffic(spec, rho):
+    # on the time scale s = lam E S^2 / (1 - rho)^2, phi / phi_inf tends to
+    # the reflected Brownian motion's H_1(tau) as rho -> 1; as for M/M/1 in
+    # test_mm1, it sits below H_1 by at most 0.5 (1 - rho), here to 4 SE
+    service = parse_service_spec(spec)
+    model = QueueModel(rho / service.moment(1), service)
+    s = model.arrival_rate * service.moment(2) / (1.0 - rho) ** 2
+    curve = estimate_phi(model, McConfig(4_000, 1, TimeGrid(0.2 * s, 11)))
+    phi_inf = stationary_pk(model)
+    for i in (1, 5, 10):  # tau = 0.2, 1, 2
+        err = curve.values[i] / phi_inf - rbm_mean_ratio(0.2 * i)
+        slack = 4.0 * curve.stderr[i] / phi_inf
+        assert -0.5 * (1.0 - rho) - slack <= err <= slack, (i, err, slack)
 
 
 # ----------------------------------------------------- first_cycle_study
