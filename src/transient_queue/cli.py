@@ -133,7 +133,9 @@ def _cmd_busy_period(args) -> int:
             raise ValueError(
                 f"--s-grid needs finite 0 <= lo <= hi and step > 0, "
                 f"got {args.s_grid!r}")
-        svals = np.arange(lo, hi + 1e-12, step)
+        # the points up to hi, counted as TimeGrid.covering counts them
+        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        svals = lo + step * np.arange(n)
         lst = [busy_lst(model, float(s)) for s in svals]
         atomic_write(args.output, _csv_text("s,busy_lst", [svals, lst]))
         sys.stdout.write(_json_text(summary))

@@ -1,10 +1,11 @@
 """Exact and asymptotic transient analysis of the M/M/1 queue.
 
-All Bessel arithmetic is carried out on exponentially scaled values
-e^{-x} I_n(x), so the e^{-(lam+mu)t} prefactor of the transient state
-probabilities combines with the Bessel growth into a single factor
-e^{-(sqrt(mu)-sqrt(lam))^2 t}.  That keeps every intermediate quantity
-representable far beyond the t ~ 360 overflow point of unscaled I_n.
+The summands e^{-(lam+mu)t} r^k I_k(x) of the transient state
+probabilities are the Skellam law of Poisson(mu t) - Poisson(lam t), so
+they are built from the ratios of successive Bessel values and divided by
+the law's own total; no exponential prefactor and no unscaled I_n is ever
+formed, so every intermediate quantity stays representable far beyond the
+t ~ 360 overflow point of unscaled I_n.
 """
 
 from __future__ import annotations
@@ -88,56 +89,59 @@ def _batches(widths: np.ndarray):
         yield np.array(batch)
 
 
-def _log_bessel_rows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Row j holds log(e^{-x_j} I_n(x_j)) for n = 0 .. start_j + 1 (x_j > 0).
+def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
+                  cut: np.ndarray) -> np.ndarray:
+    """Row j holds s_k = r^k e^{-x_j} I_k(x_j) / C_j for k = 0 .. cut_j and 0
+    past it (x_j > 0, r = e^{log_r}), with C_j such that the row's own
+    total s_0 + sum_{k>=1} (1 + rho^k) s_k is 1.
 
-    Backward (Miller) recurrence on the ratios q_k = I_k / I_{k+1},
-    q_k = 2(k+1)/x + 1/q_{k+1}, run one order at a time across all x_j;
-    column j takes its starting value at its own order start_j, which the
-    caller places past the decay point of I_n(x_j) in n (see
-    ``_miller_start_order``).  The ratios are accumulated in the log domain
-    and normalized through the generating identity at y = 1: the scaled
-    values satisfy  I~_0 + 2 sum_{n>=1} I~_n = 1, with the sum over
-    n <= start_j + 1 taken as a running sum along the column and read at
-    the column's own order.  So each column sees exactly the arithmetic of
-    a recurrence run for it alone, whatever the batch.  Entries past
-    start_j + 1 are finite but meaningless.
+    At rho = 1/r^2 the summands are the Skellam law of Poisson(mu t) -
+    Poisson(lam t), whose total is 1; at r = rho = 1 the total is the
+    generating identity I_0 + 2 sum I_k = e^x, so the row is e^{-x} I_k(x).
+    Successive entries differ by the factor r / q_k, with the Miller ratios
+    q_k = I_k / I_{k+1} = 2(k+1)/x + 1/q_{k+1} run backward one order at a
+    time across all x_j, each column from its own cut.  The logs of the
+    factors are summed up each column and shifted by its largest, so no
+    exponential overflows or cancels, and the total is a running sum read
+    at the column's own cut: a column's bits do not depend on its batch.
+    Orders run along axis 0; the result is the transpose.
     """
-    width = int(start.max()) + 1
-    q = 2.0 * np.arange(1, width + 1)[:, None] / x   # row k: 2(k+1)/x
-    init = 2.0 * (start + 1) / x + x / (2.0 * (start + 2))
+    width = int(cut.max()) + 1
+    q = 2.0 * np.arange(width + 1)[:, None] / x   # row k + 1: 2(k+1)/x
+    init = 2.0 * (cut + 1) / x + x / (2.0 * (cut + 2))
     begins = {}
-    for j, s in enumerate(start.tolist()):
-        begins.setdefault(s, []).append(j)
+    for j, c in enumerate(cut.tolist()):
+        begins.setdefault(c, []).append(j)
     inv = np.empty(len(x))
     prev = np.full(len(x), np.inf)  # so the top row starts as 2 width / x
-    for k, row in zip(range(width - 1, -1, -1), q[::-1]):
+    for k, row in zip(range(width - 1, -1, -1), q[:0:-1]):
         np.reciprocal(prev, inv)
         np.add(row, inv, row)
         cols = begins.get(k)
         if cols is not None:
             row[cols] = init[cols]
         prev = row
-    np.log(q, out=q)
-    np.negative(q, out=q)
-    np.cumsum(q, axis=0, out=q)                      # log(I_{n+1} / I_0)
-    out = np.empty((len(x), width + 1))
-    out[:, 0] = 0.0                                  # log(I_0 / I_0)
-    out[:, 1:] = q.T
-    np.exp(q, out=q)
-    np.cumsum(q, axis=0, out=q)                      # sum_{m<=n} I_{m+1} / I_0
-    log_norm = np.log1p(2.0 * q[start, np.arange(len(x))])
-    del q
-    out -= log_norm[:, None]
-    return out
+    s = q[:-1]                                       # row 0 is 0
+    np.log(s[1:], out=s[1:])
+    np.subtract(log_r, s[1:], out=s[1:])             # log(r / q_{k-1})
+    np.cumsum(s, axis=0, out=s)                      # log(s_k / s_0)
+    s[np.arange(width)[:, None] > cut] = -np.inf
+    s -= s.max(axis=0)
+    np.exp(s, out=s)
+    weight = 1.0 + rho ** np.arange(width)
+    weight[0] = 1.0
+    total = np.multiply(s, weight[:, None])
+    np.cumsum(total, axis=0, out=total)
+    s /= total[cut, np.arange(len(x))]
+    return s.T
 
 
 def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
     """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max.
 
-    See ``_log_bessel_rows`` for the recurrence.  Raises
-    ``SeriesTruncationError`` if the recurrence would start past
-    _PN_TAIL_CAP.
+    The row of ``_skellam_rows`` at r = rho = 1, cut 20 orders past n_max
+    or past the decay point of I_n(x) in n, whichever is higher.  Raises
+    ``SeriesTruncationError`` if that cut is past _PN_TAIL_CAP.
     """
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"argument must be finite and >= 0, got {x}")
@@ -147,13 +151,13 @@ def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    start = max(int(_miller_start_order(x)), n_max + 20)
-    if start > _PN_TAIL_CAP:
+    cut = max(int(_miller_start_order(x)), n_max + 20)
+    if cut > _PN_TAIL_CAP:
         raise SeriesTruncationError(
-            f"the Bessel values at x = {x:.6g} need order {start}, past the "
+            f"the Bessel values at x = {x:.6g} need order {cut}, past the "
             f"cap {_PN_TAIL_CAP}", math.inf)
-    return np.exp(
-        _log_bessel_rows(np.array([x]), np.array([start]))[0, : n_max + 1])
+    return _skellam_rows(np.array([x]), 0.0, 1.0,
+                         np.array([cut]))[0, : n_max + 1]
 
 
 def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
@@ -164,20 +168,19 @@ def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
 
     with x = 2 sqrt(lam mu) t_j and r = sqrt(mu/lam); past cuts_i it is 0.
     The series' other summands e^{-(lam+mu)t} r^{-k} I_k(x) are rho^k up[k],
-    since r^{-2} = rho, so the consumers weight this one row.
-    Every product is assembled as exp(sum of logs), so huge r^k never meets
-    a tiny scaled Bessel value head-on; each summand is <= 1 by the
-    generating identity.  The summands are a multiple of the Skellam law of
-    Poisson(mu t) - Poisson(lam t), so the cut is ``_miller_start_order(x,
-    log r, n_min)``, about 10 standard deviations past the peak at
-    (mu - lam) t or past n_min.  Each point is run once: one whose cut would
-    pass _PN_TAIL_CAP raises before any row is built, and one whose topmost
-    five summands are not negligible against the largest raises, so an
-    undersized cut is never a silent number.
+    since r^{-2} = rho, so the consumers weight this one row.  Together
+    they are the Skellam law of Poisson(mu t) - Poisson(lam t), so each row
+    is built by ``_skellam_rows`` from the ratios of its summands and
+    normalized by the law's own total: no exponential prefactor is formed.
+    The cut is ``_miller_start_order(x, log r, n_min)``, about 10 standard
+    deviations past the peak at (mu - lam) t or past n_min.  Each point is
+    run once: one whose cut would pass _PN_TAIL_CAP raises before any row
+    is built, and one whose topmost five summands are not negligible
+    against the largest raises, so an undersized cut is never a silent
+    number.
     """
-    lam, mu, _ = _rates(model)
+    lam, mu, rho = _rates(model)
     x_all = 2.0 * math.sqrt(lam * mu) * t
-    decay_all = theoretical_rate(model) * t  # (lam+mu)t - x
     log_r = 0.5 * math.log(mu / lam)
     # the guard reads the five orders up to the cut
     cuts = np.maximum(_miller_start_order(x_all, log_r, n_min), 4)
@@ -187,25 +190,17 @@ def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
         raise SeriesTruncationError(
             f"the series at t = {t[j]:.6g} needs order {cuts[j]}, past "
             f"the cap {_PN_TAIL_CAP}", math.inf)
-    for idx in _batches(cuts + 22):
+    for idx in _batches(cuts + 1):
         cut = cuts[idx]
-        log_scaled = _log_bessel_rows(x_all[idx], cut + 20)
-        k = np.arange(int(cut.max()) + 1)
-        up = k * log_r - decay_all[idx][:, None]
-        up += log_scaled[:, : k.size]
-        del log_scaled
-        up[k > cut[:, None]] = -np.inf
-        # the guard compares logs: a cut below the peak can leave every
-        # summand underflowed, and values would then pass any test
+        up = _skellam_rows(x_all[idx], log_r, rho, cut)
         top = up[np.arange(len(idx))[:, None], cut[:, None] - np.arange(5)]
-        ratio = top.max(axis=1) - up.max(axis=1)
-        bad = np.flatnonzero(~(ratio <= math.log(2e-17)))  # five below 1e-16
+        ratio = top.max(axis=1) / up.max(axis=1)
+        bad = np.flatnonzero(~(ratio <= 2e-17))  # five below 1e-16
         if bad.size:
             i = bad[0]
             raise SeriesTruncationError(
                 f"the series at t = {t[idx[i]]:.6g} is not negligible at its "
-                f"cut {cut[i]}", float(np.exp(ratio[i])))
-        np.exp(up, out=up)
+                f"cut {cut[i]}", float(ratio[i]))
         yield idx, up, cut
         del up  # free this batch before the next one is built
 
@@ -218,9 +213,9 @@ def pn_array(model: QueueModel, t: float, n_max: int) -> np.ndarray:
     the suffix sum running down the row from its cut.  The start-order rule
     sets the cut its margin past both the peak and n_max + 2, so every entry
     keeps its own suffix sum and is accurate relative to itself while its
-    summands do not underflow: at lam = 0.2, mu = 1, t = 0.5 and n_max = 40
-    each entry is within 4e-14 of a 40-digit reference.  A cut past the cap
-    raises ``SeriesTruncationError``.
+    summands do not underflow: at mu = 1 and (lam, t, n_max) = (0.2, 0.5,
+    40), (0.5, 5, 80) and (0.9, 20, 150) each entry is within 4e-14 of a
+    40-digit reference.  A cut past the cap raises ``SeriesTruncationError``.
     """
     _, _, rho = _rates(model)
     if not (math.isfinite(t) and t >= 0):

@@ -1,14 +1,15 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately built from different primitives than the
-code under test: power series instead of backward recurrences, an ODE
-integrator instead of Bessel sums, closed forms instead of fixed points,
-and a plain Lindley walk over the arrivals instead of the vectorized
-workload kernel.
+code under test: power series and mpmath's 40-digit Bessel functions
+instead of backward recurrences, an ODE integrator instead of Bessel sums,
+closed forms instead of fixed points, and a plain Lindley walk over the
+arrivals instead of the vectorized workload kernel.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -103,6 +104,33 @@ def skellam_pn(lam: float, mu: float, t: float, n_max: int) -> np.ndarray:
     return np.array([rho**m * (d[m] + d[m + 1] + (1.0 - rho)
                                * math.fsum(d[m + 2:]))
                      for m in range(n_max + 1)])
+
+
+def mm1_series_mp(lam: float, mu: float, t: float):
+    """(phi, P_0) of the M/M/1 queue started empty, at 40 digits: the
+    summands d_k = e^{-(lam+mu)t} r^k I_k(x), x = 2 sqrt(lam mu) t and
+    r = sqrt(mu/lam), each from mpmath's besseli, run past their peak at
+    (mu - lam) t until one falls below 1e-50 of the largest; then
+    P_n = rho^n (d_n + d_{n+1} + (1 - rho) sum_{k >= n+2} d_k) and
+    phi = sum_n n P_n / mu, both cut where the d_k are."""
+    with mpmath.workdps(40):
+        lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+        x = 2 * mpmath.sqrt(lam * mu) * t
+        r = mpmath.sqrt(mu / lam)
+        scale = mpmath.exp(-(lam + mu) * t)
+        d = []
+        while (len(d) < (mu - lam) * t + 2
+               or d[-1] > mpmath.mpf("1e-50") * max(d)):
+            d.append(scale * r ** len(d) * mpmath.besseli(len(d), x))
+        d += [mpmath.mpf(0)] * 2
+        tail = [mpmath.mpf(0)] * (len(d) + 1)  # tail[k] = sum_{j>=k} d_j
+        for k in range(len(d) - 1, -1, -1):
+            tail[k] = tail[k + 1] + d[k]
+        rho = lam / mu
+        pn = [rho**n * (d[n] + d[n + 1] + (1 - rho) * tail[n + 2])
+              for n in range(len(d) - 1)]
+        phi = mpmath.fsum(n * p for n, p in enumerate(pn)) / mu
+        return float(phi), float(pn[0])
 
 
 def birth_death_phi(lam: float, mu: float, t: float,

@@ -228,6 +228,18 @@ def test_busy_period_json_and_csv(tmp_path):
     assert np.all(np.diff(values[:, 1]) < 0)
 
 
+def test_busy_period_s_grid_keeps_its_endpoint_at_large_hi(tmp_path):
+    # the grid counts its points from (hi - lo) / step, so a slack added to
+    # hi cannot fall below the rounding of hi and drop the endpoint
+    csv_out = tmp_path / "busy.csv"
+    code = main(["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+                 "--s-grid", "0:100000:10000", "-o", str(csv_out)])
+    assert code == 0
+    rows = csv_out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 11
+    assert float(rows[-1].split(",")[0]) == 100000.0
+
+
 def test_fit_rate_pipeline(tmp_path, capsys):
     curve_path = tmp_path / "exact.csv"
     assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "80",

@@ -11,7 +11,7 @@ from transient_queue import (Deterministic, Exponential, Mm1Model,
                              phi_curve, phi_exact, pn_array, theoretical_rate)
 
 from oracles import (bessel_series_scaled, birth_death_phi, birth_death_pn,
-                     rbm_mean_ratio, skellam_pn)
+                     mm1_series_mp, rbm_mean_ratio, skellam_pn)
 
 MM1 = Mm1Model(0.5, 1.0)
 
@@ -47,20 +47,6 @@ def test_bessel_normalization_identity():
         assert arr[0] + 2 * arr[1:].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_log_bessel_beyond_underflow():
-    # values underflow around n ~ 800 at x=10; the log form keeps going
-    x = np.array([10.0])
-    start = np.maximum(mm1._miller_start_order(x), 2020)
-    logs = mm1._log_bessel_rows(x, start)[0, :2001]
-    assert np.all(np.isfinite(logs))
-    assert np.all(np.diff(logs) < 0)
-    # spot check: I_n(x) ~ (x/2)^n / n! * (1 + (x/2)^2/(n+1) + ...)
-    n = 1500
-    expected = (n * math.log(5.0) - math.lgamma(n + 1) - 10.0
-                + math.log1p(25.0 / (n + 1)))
-    assert logs[n] == pytest.approx(expected, abs=1e-3)
-
-
 def test_bessel_rows_of_a_batch_are_each_row_run_alone():
     # each column starts the recurrence at its own order, not at the
     # batch's highest one, and sums its normalization up to that order, so
@@ -68,10 +54,10 @@ def test_bessel_rows_of_a_batch_are_each_row_run_alone():
     # of its decay point, where the orders past it are far from negligible
     x = np.array([1e-3, 0.7, 3.0, 30.0, 500.0, 30.0])
     start = mm1._miller_start_order(x) + np.array([5, 0, 60, 0, 0, -60])
-    rows = mm1._log_bessel_rows(x, start)
+    rows = mm1._skellam_rows(x, 0.0, 1.0, start)
     for j, s in enumerate(start):
-        alone = mm1._log_bessel_rows(x[j : j + 1], start[j : j + 1])[0]
-        assert np.array_equal(rows[j, : s + 2], alone)
+        alone = mm1._skellam_rows(x[j : j + 1], 0.0, 1.0, start[j : j + 1])[0]
+        assert np.array_equal(rows[j, : s + 1], alone)
 
 
 def test_bessel_input_validation():
@@ -243,9 +229,9 @@ def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
             with pytest.raises(SeriesTruncationError) as caught:
                 phi_curve(model, grid)
         assert caught.value.achieved_bound > 2e-17
-    bessel_calls = _spy(monkeypatch, "_log_bessel_rows")
+    bessel_calls = _spy(monkeypatch, "_skellam_rows")
     values = _values(model, grid)
-    xs = np.concatenate([x for x, _ in bessel_calls])
+    xs = np.concatenate([x for x, *_ in bessel_calls])
     times = grid.times() if isinstance(grid, TimeGrid) else grid
     # one pass per point: each positive time gets exactly one row of the
     # Bessel recurrence, sized once by the start-order rule
@@ -284,6 +270,19 @@ def test_phi_exact_against_ode_oracle(lam):
     for t in (0.5, 5.0, 40.0):
         oracle = birth_death_phi(lam, 1.0, t, n_states=600)
         assert abs(phi_exact(model, t) - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("lam, t", [
+    *[(lam, t) for lam in (0.01, 0.1, 0.5, 0.99) for t in (1.0, 20.0, 80.0)],
+    (0.01, 300.0)])
+def test_phi_and_p0_against_a_40_digit_series(lam, t):
+    # each summand from mpmath's Bessel function at 40 digits; at small lam
+    # the summands span hundreds of e-folds in k, so a summand assembled as
+    # the exp of large logs that cancel errs by about 1e-14 here
+    phi, p0 = mm1_series_mp(lam, 1.0, t)
+    value, p = mm1._phi_and_p0(Mm1Model(lam, 1.0), np.array([t]))
+    assert value[0] == pytest.approx(phi, rel=4e-15, abs=0.0)
+    assert p[0] == pytest.approx(p0, rel=4e-15, abs=0.0)
 
 
 def test_phi_truncation_cap():

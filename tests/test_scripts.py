@@ -52,9 +52,10 @@ CLAIM = "fitted rates approach the closed-form rate from above"
 
 def test_verify_convergence_claims_the_trend_it_prints():
     # at the defaults all five windows fit and the rates fall toward
-    # (sqrt(mu) - sqrt(lam))^2 = 0.085786 from above
+    # (sqrt(mu) - sqrt(lam))^2 = 0.085786 from above; a 30-digit mpmath
+    # curve fits 0.0907363 on [100, 250]
     out = run_script("verify_convergence.py")
-    for rate in ("0.098616", "0.095881", "0.093270", "0.091742", "0.090741"):
+    for rate in ("0.098616", "0.095881", "0.093270", "0.091742", "0.090736"):
         assert rate in out
     assert CLAIM in out
 
