@@ -9,7 +9,6 @@ naive right-endpoint placement while keeping the recursion monotone.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import stat
@@ -20,13 +19,9 @@ from typing import Optional
 import numpy as np
 
 COARSE_GRID_WARNING = "coarse_grid"
-# points per block of the renewal solve.  Each block costs one Python call
-# and two direct convolutions of about _BLOCK^2 multiply-adds (its in-block
-# solve, and its lags below _BLOCK into the next block); the FFT pushes of
-# the longer lags cost O(n log^2 n) for any block size.  A power of two makes
-# every FFT size one and every split of the solve a whole number of blocks;
-# 256 ran fastest of 64..512 at n = 4001, 8001 and 20001
-_BLOCK = 256
+# lags below _NEAR, most of the kernel's mass, enter the renewal solve
+# directly: an FFT rounds each output on the scale of its largest terms
+_NEAR = 256
 
 
 @dataclass(frozen=True)
@@ -133,28 +128,37 @@ def _csv_text(header: str, columns) -> str:
 
 
 def read_curve_csv(path) -> Curve:
+    """The curve of a ``t,value[,stderr]`` file (the value column may be
+    ``phi_exact``), its columns found by the names in the first line."""
     with open(path) as fh:
         text = fh.read()
     if not text.strip():
         raise ValueError(f"curve file {path} is empty")
-    data = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
-    names = data.dtype.names or ()
+    header, _, body = text.lstrip().partition("\n")
+    names = [name.strip() for name in header.split(",")]
     if "t" not in names:
         raise ValueError(f"curve file {path} has no 't' column")
-    t = np.atleast_1d(data["t"])
     value_col = next((c for c in ("value", "phi_exact") if c in names), None)
     if value_col is None:
         raise ValueError(
             f"curve file {path} has no 'value' (or 'phi_exact') column")
-    values = np.atleast_1d(data[value_col])
-    stderr = np.atleast_1d(data["stderr"]) if "stderr" in names else None
-    if len(t) < 2:
+    rows = [row for row in body.splitlines() if row.strip()]
+    if any(row.count(",") != len(names) - 1 for row in rows):
+        raise ValueError(f"curve file {path} has a row that is not "
+                         f"{len(names)} cells long")
+    if len(rows) < 2:
         raise ValueError(f"curve file {path} has fewer than two rows")
-    # the parser reads a non-numeric or empty cell as NaN
-    for column in (t, values) if stderr is None else (t, values, stderr):
-        if not np.all(np.isfinite(column)):
-            raise ValueError(f"curve file {path} has a non-numeric, empty "
-                             f"or non-finite cell")
+    bad = f"curve file {path} has a non-numeric, empty or non-finite cell"
+    columns = [names.index(c) for c in ("t", value_col, "stderr") if c in names]
+    try:
+        used = np.loadtxt(rows, delimiter=",", usecols=columns, ndmin=2)
+    except ValueError:
+        raise ValueError(bad) from None
+    if not np.all(np.isfinite(used)):
+        raise ValueError(bad)
+    if np.any(used[:, 2:] < 0):
+        raise ValueError(f"curve file {path} has a negative stderr")
+    t, values, *stderr = used.T
     if t[0] != 0.0:
         raise ValueError(f"curve file {path} starts at t = {t[0]:g}, not at 0")
     step = t[1] - t[0]
@@ -162,7 +166,7 @@ def read_curve_csv(path) -> Curve:
         raise ValueError(f"curve file {path} has times that do not increase")
     if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-12):
         raise ValueError(f"curve file {path} is not on a uniform grid")
-    return Curve(TimeGrid(step=float(step), n_points=len(t)), values, stderr)
+    return Curve(TimeGrid(float(step), len(t)), values, *stderr)
 
 
 def _validate_cdf(values: np.ndarray) -> None:
@@ -185,28 +189,49 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     values of H; the j=1 increment makes the recursion weakly implicit.
     Collecting the weight of each H_m gives, for i >= 1,
       (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
-    c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  That
-    lower-triangular Toeplitz system is solved by halving in the relaxed
-    scheme of Hairer, Lubich & Schlichte (1985), ``_relaxed_solve``.  The
-    matrix of a span of _BLOCK points, the same for every span, is inverted
-    once as a Toeplitz matrix, whose inverse is lower-triangular Toeplitz.
+    c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  So
+    H_1, H_2, ... is the power series b / a, with b = 1 + dF[1:] / 2 and
+    a = (1 - c_0, -c_1, -c_2, ...).  v = 1 / a comes by Newton doubling
+    (Kung 1974): with v known to h terms, the terms h .. k-1 (k = 2h) of
+    a v are e, and v's next k - h terms are the first of -v e.  Lags of a
+    below _NEAR enter e directly and the rest by FFT; H = v b likewise
+    takes its first _NEAR points directly and the rest by FFT.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
     grid = cycle_cdf.grid
     n = grid.n_points
     dF = np.diff(F, prepend=F[0])
-    c = 0.5 * (dF[:-1] + dF[1:])
-    block = min(_BLOCK, n - 1)
-    # first column of the in-block inverse: (1 - c_0) v_k = sum_{j=1}^k c_j v_{k-j}
-    v = np.empty(block)
-    v[0] = 1.0 / (1.0 - c[0])
-    for k in range(1, block):
-        v[k] = np.dot(c[1 : k + 1], v[k - 1 :: -1]) * v[0]
-    H = np.empty(n)
-    H[0] = 1.0
-    _relaxed_solve(1.0 + 0.5 * dF[1:], H[1:], c, v, {})
-
+    a = -0.5 * (dF[:-1] + dF[1:])
+    a[0] += 1.0
+    m = n - 1
+    v = np.full(m, 1.0 / a[0])  # v_0; the steps below fill the rest
+    far = a.copy()
+    far[:_NEAR] = 0.0
+    h = 1
+    while h < m:
+        k = min(2 * h, m)
+        # lags below _NEAR reach [h, k) from v's last _NEAR - 1 entries only
+        lo = max(0, h - _NEAR + 1)
+        near = np.convolve(v[lo:h], a[:_NEAR])[h - lo : k - lo]
+        if k <= _NEAR:  # every lag is near
+            v[h:k] = -np.convolve(v[: k - h], near)[: k - h]
+        else:
+            # a cyclic product of size >= k wraps terms of a v only below h
+            size = 1 << (k - 1).bit_length()
+            spectrum = np.fft.rfft(v[:h], size)
+            e = np.fft.irfft(spectrum * np.fft.rfft(far[:k], size), size)[h:k]
+            e[: len(near)] += near
+            v[h:k] = -np.fft.irfft(spectrum * np.fft.rfft(e, size),
+                                   size)[: k - h]
+        h = k
+    b = 1.0 + 0.5 * dF[1:]
+    H = np.ones(n)
+    if m > _NEAR:
+        size = 1 << (2 * m - 2).bit_length()  # >= 2m - 1, so nothing wraps
+        H[1:] = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(b, size),
+                             size)[:m]
+    H[1 : _NEAR + 1] = np.convolve(v[:_NEAR], b[:_NEAR])[: min(m, _NEAR)]
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied
     # by the (possibly truncated) CDF itself
@@ -214,31 +239,6 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     if mean_est > 0 and grid.step > mean_est / 10.0:
         warnings = (COARSE_GRID_WARNING,)
     return Curve(grid, H, warnings=warnings)
-
-
-def _relaxed_solve(acc, H, c, v, spectra) -> None:
-    """Fill ``H`` in place from ``acc``, the right-hand side plus the
-    history pushed so far.  Up to len(v) points are solved directly by the
-    in-block inverse ``v``; more by solving the first h (the largest power
-    of two below their number), pushing their lags ``c`` onto the rest and
-    solving that.  ``spectra`` caches per h the FFT of c's lags >= len(v)."""
-    m = len(acc)
-    block = len(v)
-    if m <= block:
-        H[:] = np.convolve(v[:m], acc)[:m]
-        return
-    h = 1 << (m - 1).bit_length() - 1
-    _relaxed_solve(acc[:h], H[:h], c, v, spectra)
-    if h not in spectra:
-        far = c[: 2 * h].copy()
-        far[:block] = 0.0
-        spectra[h] = np.fft.rfft(far, 2 * h)
-    # the long lags by a linear FFT product, which wraps only below h, then
-    # lags 1 .. block-1 directly from the last block-1 points solved
-    acc[h:] += np.fft.irfft(np.fft.rfft(H[:h], 2 * h) * spectra[h], 2 * h)[h:m]
-    acc[h : h + block - 1] += np.convolve(
-        H[h - block + 1 : h], c[1:block])[block - 2 :][: m - h]
-    _relaxed_solve(acc[h:], H[h:], c, v, spectra)
 
 
 def renewal_residual(H: Curve, cycle_cdf: Curve) -> np.ndarray:

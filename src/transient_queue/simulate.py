@@ -182,7 +182,7 @@ def _workload_sums(blocks, grid: TimeGrid):
     windows = -(-n // _WINDOW)
     origin = times[::_WINDOW]
     # window w's cells are w * (_WINDOW + 1) + (0 .. _WINDOW); the spare
-    # last one takes the ends of segments cut at the window's end
+    # last one takes the ends of segments that end at the window's end
     size = windows * (_WINDOW + 1)
     # per cell, the change in covering arrivals and in their D and D^2
     # from the window origin
@@ -197,18 +197,24 @@ def _workload_sums(blocks, grid: TimeGrid):
         np.minimum(stop, _cells(points, grid.step, deadline), out=stop)
         live = stop > start
         start, stop, deadline = start[live], stop[live], deadline[live]
-        # cut each segment into one piece per window it meets
-        window = start // _WINDOW
-        pieces = (stop - 1) // _WINDOW - window + 1
-        seg = np.repeat(np.arange(len(start)), pieces)
-        window = window[seg] + np.arange(len(seg)) - np.repeat(
-            np.cumsum(pieces) - pieces, pieces)
-        start = np.maximum(start[seg], window * _WINDOW) + window
-        stop = np.minimum(stop[seg], window * _WINDOW + _WINDOW) + window
-        deadline = deadline[seg] - origin[window]
-        for change, weight in zip(steps, (None, deadline, deadline**2)):
-            change += np.bincount(start, weight, minlength=size)
-            change -= np.bincount(stop, weight, minlength=size)
+        # a segment starts in its first window's frame and ends in its
+        # last's; one crossing into later windows restarts at the first
+        # cell of each.  An end at a window's end lands in the spare cell,
+        # which the sums drop, so no piece but the last needs one
+        first = start // _WINDOW
+        last = (stop - 1) // _WINDOW
+        crossed = last - first
+        seg = np.repeat(np.arange(len(start)), crossed)
+        later = first[seg] + 1 + np.arange(len(seg)) - np.repeat(
+            np.cumsum(crossed) - crossed, crossed)
+        on = np.concatenate((start + first, later * (_WINDOW + 1)))
+        d_on = np.concatenate((deadline - origin[first],
+                               deadline[seg] - origin[later]))
+        off, d_off = stop + last, deadline - origin[last]
+        for change, w_on, w_off in zip(steps, (None, d_on, d_on**2),
+                                       (None, d_off, d_off**2)):
+            change += np.bincount(on, w_on, minlength=size)
+            change -= np.bincount(off, w_off, minlength=size)
     c0, c1, c2 = np.cumsum(steps.reshape(3, windows, -1), axis=2)[
         :, :, :-1].reshape(3, -1)[:, :n]
     t = times - np.repeat(origin, _WINDOW)[:n]

@@ -3,6 +3,7 @@ import functools
 import gc
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from transient_queue import (Curve, Erlang, Exponential, McConfig,
                              phi_via_renewal, read_curve_csv,
                              renewal_function, renewal_residual,
                              write_curve_csv)
-from transient_queue.renewal import _BLOCK, COARSE_GRID_WARNING
+from transient_queue.renewal import COARSE_GRID_WARNING
 
 from oracles import (erlang2_renewal, phi_by_midpoint_sums, poisson_renewal,
                      renewal_by_recursion)
@@ -134,15 +135,13 @@ CDFS = {"exp": lambda t: Exponential(1.0).cdf(t),
             heavy_first_cycles(0.01, 8001).cycle_cdf.values[: len(t)]}
 
 
-# halving edges: the m = n - 1 points after t_0 are solved directly when
-# m <= _BLOCK, else split at the largest power of two below m; so
-# n = 2^k * _BLOCK + 1 halves exactly and one more point leaves an upper
-# half of one point
+# edges of the solve: its m = n - 1 unknowns use no FFT up to m = 256
+# (n = 257); each FFT size is a power of two, so n = 2^j + 1 fills one
+# exactly and one more point needs the next; and from n = 513 on, the last
+# Newton step reaches past the direct lags of its first entry
 @pytest.mark.parametrize("law", sorted(CDFS))
-@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, _BLOCK - 1, _BLOCK,
-                               _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1,
-                               4 * _BLOCK + 1, 8 * _BLOCK + 1,
-                               16 * _BLOCK + 1, 16 * _BLOCK + 2, 8001])
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 255, 256, 257, 258, 512,
+                               513, 1025, 2049, 4097, 4098, 8001])
 def test_renewal_function_matches_pointwise_recursion(law, n):
     grid = TimeGrid(step=0.01, n_points=n)
     F = CDFS[law](grid.times())
@@ -154,6 +153,23 @@ def test_renewal_function_matches_pointwise_recursion(law, n):
 @pytest.mark.parametrize("law", sorted(CDFS))
 def test_renewal_residual_at_8001_points(law):
     grid = TimeGrid(step=0.01, n_points=8001)
+    F = Curve(grid, CDFS[law](grid.times()))
+    H = renewal_function(F)
+    assert np.abs(renewal_residual(H, F)).max() <= 1e-14 * H.values[-1]
+
+
+def test_renewal_function_first_cell_at_65537_points():
+    # all mass in the first cell: H_i = 2 i + 1 exactly, which the FFT
+    # products of the long solve must not spread rounding onto
+    grid = TimeGrid(step=0.01, n_points=65537)
+    H = renewal_function(Curve(grid, CDFS["first-cell"](grid.times()))).values
+    expected = 2.0 * np.arange(grid.n_points) + 1.0
+    assert np.all(np.abs(H - expected) <= 1e-13 * expected)
+
+
+@pytest.mark.parametrize("law", ["atom-0.5", "erlang2", "exp", "first-cell"])
+def test_renewal_residual_at_65537_points(law):
+    grid = TimeGrid(step=0.01, n_points=65537)
     F = Curve(grid, CDFS[law](grid.times()))
     H = renewal_function(F)
     assert np.abs(renewal_residual(H, F)).max() <= 1e-14 * H.values[-1]
@@ -418,15 +434,43 @@ def test_rewritten_file_keeps_its_mode(tmp_path):
     ("t,value\n0,1\n0.5,2\n1.5,3\n", "uniform grid"),
     ("t,value\n20,1\n20.5,2\n21,3\n", "starts at t = 20,"),
     ("t,value\n0,1\n-0.5,2\n-1,3\n", "do not increase"),
+    ("t,value\n0,1\n0.5\n1,3\n", "not 2 cells long"),
+    ("t,value\n0,1\n0.5,2,7\n1,3\n", "not 2 cells long"),
+    ("t,value,stderr\n0,1,0.1\n0.5,2,-0.1\n", "negative stderr"),
 ], ids=["empty", "blank", "text", "nan", "missing", "stderr-text",
         "no-t", "no-value", "one-row", "non-uniform", "not-from-0",
-        "decreasing"])
+        "decreasing", "short-row", "long-row", "negative-stderr"])
 def test_read_curve_csv_rejects_malformed(tmp_path, text, reason):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match="bad.csv") as caught:
         read_curve_csv(path)
     assert reason in str(caught.value)
+
+
+def test_read_curve_csv_header_only_does_not_warn(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bad.csv.*fewer than two rows"):
+            read_curve_csv(path)
+
+
+# CRLF line ends, spaces around cells, a column that is not read (NaN
+# where mm1-exact leaves its asymptote undefined) and a repeated name, read
+# from its first column; a trailing comma, whose empty column is not read
+@pytest.mark.parametrize("text", [
+    b"t, phi_exact ,extra,phi_exact\r\n0, 1.5,nan,9\r\n 0.5 ,2.5 , 1,9\r\n",
+    b"t,phi_exact,\n0,1.5,\n0.5,2.5,\n",
+], ids=["crlf-spaces-extra", "trailing-comma"])
+def test_read_curve_csv_takes_loose_formats(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(text)
+    curve = read_curve_csv(path)
+    assert curve.grid == TimeGrid(step=0.5, n_points=2)
+    assert np.array_equal(curve.values, [1.5, 2.5])
+    assert curve.stderr is None
 
 
 def test_curve_validation():
