@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ class FitResult:
     n_points: int
 
     def as_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "model": self.model,
-            "n_points": self.n_points,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def stationary_pk(model: QueueModel) -> float:

@@ -28,6 +28,9 @@ class QueueModel:
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
             raise ValueError(
                 f"arrival rate must be finite and > 0, got {self.arrival_rate}")
+        if self.rho == 0.0:
+            raise ValueError(f"load {self.arrival_rate!r} * mean service "
+                             f"{self.service.moment(1)!r} underflows to 0")
         if self.rho >= _MAX_RHO:
             raise ValueError(f"unstable queue: rho = arrival_rate * "
                              f"mean_service = {self.rho!r} must be < 1 - 4 eps")
@@ -100,19 +103,20 @@ def cycle_moments(model: QueueModel) -> CycleMoments:
 
     The cycle is an independent sum of an idle period Exp(lam) and a busy
     period, whose second moment is the standard M/G/1 identity
-    b2 / (1 - rho)^3.
+    b2 / (1 - rho)^3.  A moment past double range raises ``ValueError``.
     """
     lam = model.arrival_rate
-    rho = model.rho
-    tau_mean = busy_mean(model)
-    tau_second = model.service.moment(2) / (1.0 - rho) ** 3
-    idle_second = 2.0 / lam**2
-    cycle_second = idle_second + 2.0 * (1.0 / lam) * tau_mean + tau_second
-    return CycleMoments(
-        busy_mean=tau_mean,
-        cycle_mean=1.0 / lam + tau_mean,
-        cycle_second=cycle_second,
-    )
+    try:
+        tau_mean = busy_mean(model)
+        tau_second = model.service.moment(2) / (1.0 - model.rho) ** 3
+        cycle_second = 2.0 / lam**2 + 2.0 * (1.0 / lam) * tau_mean + tau_second
+        moments = (tau_mean, 1.0 / lam + tau_mean, cycle_second)
+        if all(0.0 < m < math.inf for m in moments):
+            return CycleMoments(*moments)
+    except (OverflowError, ZeroDivisionError):  # a power past double range
+        pass
+    raise ValueError(f"the cycle moments at arrival rate {lam!r} with "
+                     f"{model.service.spec_string()} are not finite doubles")
 
 
 def busy_cramer_abscissa(model: QueueModel, tol: float = 1e-4) -> float:

@@ -18,13 +18,13 @@ from . import mm1
 from .analysis import (EXP_WITH_SQRT_T, PURE_EXPONENTIAL, UnfitError,
                        compare_methods, fit_decay_rate, stationary_pk)
 from .busy_period import (QueueModel, busy_cramer_abscissa, busy_lst,
-                          busy_mean, cycle_moments)
+                          cycle_moments)
 from .distributions import parse_service_spec
-from .renewal import (TimeGrid, _csv_text, atomic_write, phi_via_renewal,
-                      read_curve_csv, renewal_function, write_curve_csv)
+from .renewal import (TimeGrid, _csv_text, _point_count, atomic_write,
+                      phi_via_renewal, read_curve_csv, renewal_function,
+                      write_curve_csv)
 from .simulate import (CycleTruncationError, McConfig, estimate_phi,
                        estimate_stationary, first_cycle_study)
-from .mm1 import SeriesTruncationError
 
 
 def _json_text(payload: dict) -> str:
@@ -37,8 +37,9 @@ def _make_grid(t_max: float, step: float) -> TimeGrid:
             raise ValueError(f"{flag} must be finite and > 0, got {value}")
     try:
         return TimeGrid.covering(t_max, step)
-    except ValueError as exc:  # fewer than two points
-        raise ValueError("--t-max must cover at least one step") from exc
+    except ValueError as exc:  # fewer than two points, or endless
+        raise ValueError(f"--t-max must cover at least one step and a finite "
+                         f"number of --step: {exc}") from None
 
 
 def _make_model(args) -> QueueModel:
@@ -56,9 +57,10 @@ def _cmd_simulate(args) -> int:
     model = _make_model(args)
     grid = _make_grid(args.t_max, args.step)
     cfg = _make_config(args, grid)
+    # first, so a load whose cycle moments leave double range writes no file
+    horizon = 1000.0 * cycle_moments(model).cycle_mean
     curve = estimate_phi(model, cfg, threads=args.threads)
     write_curve_csv(curve, args.output)
-    horizon = 1000.0 * cycle_moments(model).cycle_mean
     phi_hat, se = estimate_stationary(model, horizon, seed=args.seed)
     summary = {
         "model": model.as_dict(),
@@ -117,13 +119,9 @@ def _parse_range(text: str, name: str, parts: int):
 
 def _cmd_busy_period(args) -> int:
     model = _make_model(args)
-    summary = {
-        "model": model.as_dict(),
-        "busy_mean": busy_mean(model),
-    }
     cm = cycle_moments(model)
-    summary["cycle_mean"] = cm.cycle_mean
-    summary["cycle_second"] = cm.cycle_second
+    summary = {"model": model.as_dict(), "busy_mean": cm.busy_mean,
+               "cycle_mean": cm.cycle_mean, "cycle_second": cm.cycle_second}
     if args.abscissa:
         summary["cramer_abscissa"] = busy_cramer_abscissa(model)
     if args.s_grid is not None:
@@ -133,8 +131,10 @@ def _cmd_busy_period(args) -> int:
             raise ValueError(
                 f"--s-grid needs finite 0 <= lo <= hi and step > 0, "
                 f"got {args.s_grid!r}")
-        # the points up to hi, counted as TimeGrid.covering counts them
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        try:
+            n = _point_count(hi - lo, step)
+        except ValueError as exc:
+            raise ValueError(f"--s-grid {args.s_grid}: {exc}") from None
         svals = lo + step * np.arange(n)
         lst = [busy_lst(model, float(s)) for s in svals]
         atomic_write(args.output, _csv_text("s,busy_lst", [svals, lst]))
@@ -264,8 +264,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input, DistributionSpecError included
         print(f"transient-queue: error: {exc}", file=sys.stderr)
         return 2
-    except (SeriesTruncationError, UnfitError, CycleTruncationError,
-            OSError) as exc:
+    except (mm1.SeriesTruncationError, UnfitError, CycleTruncationError,
+            OSError, MemoryError) as exc:
         print(f"transient-queue: computational error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,6 @@
 """Parametric service-time distributions.
 
-Every distribution here has closed-form raw moments, a closed-form
+Every distribution here has a closed-form mean, second moment and
 Laplace-Stieltjes transform on the real axis, an exact CDF, and a sampler,
 so downstream numerics can always be checked against analytic values.
 """
@@ -18,8 +18,6 @@ import numpy as np
 #: deliberately from the known convergence abscissa, never produced by
 #: floating-point overflow, so domain boundaries stay exactly testable.
 DIVERGENT = math.inf
-
-_MAX_MOMENT_ORDER = 150
 
 
 class DistributionSpecError(ValueError):
@@ -52,22 +50,14 @@ class ServiceDistribution:
             yield name, value if isinstance(value, tuple) else (value,)
 
     def moment(self, k: int) -> float:
-        """Exact k-th raw moment, k >= 1."""
-        self._check_order(k)
-        return self._moment(k)
-
-    def _moment(self, k: int) -> float:
-        raise NotImplementedError
-
-    @staticmethod
-    def _check_order(k: int) -> None:
-        if k < 1 or k != int(k):
-            raise ValueError(f"moment order must be a positive integer, got {k}")
-        if k > _MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"moment order {k} exceeds supported range (factorial terms "
-                f"overflow beyond k={_MAX_MOMENT_ORDER})"
-            )
+        """Exact mean (k = 1) or second moment (k = 2), the two the M/G/1
+        formulas read.  Each law's ``_moments`` yields them in turn in closed
+        form, so a second moment past double range never stops the mean."""
+        if k not in (1, 2):
+            raise ValueError(f"moment order must be 1 or 2, got {k!r}")
+        moments = self._moments()
+        mean = next(moments)
+        return mean if k == 1 else next(moments)
 
     def lst(self, s: float) -> float:
         """E exp(-s X); returns DIVERGENT for s <= -cramer_abscissa(), and
@@ -119,8 +109,9 @@ class Exponential(ServiceDistribution):
     def _validate(self):
         _require(self.rate > 0, f"exponential rate must be > 0, got {self.rate}")
 
-    def _moment(self, k: int) -> float:
-        return math.factorial(k) / self.rate**k
+    def _moments(self):
+        yield 1 / self.rate
+        yield 2 / self.rate**2
 
     def _lst(self, s: float) -> float:
         return self.rate / (self.rate + s)
@@ -144,8 +135,9 @@ class Deterministic(ServiceDistribution):
     def _validate(self):
         _require(self.value > 0, f"deterministic value must be > 0, got {self.value}")
 
-    def _moment(self, k: int) -> float:
-        return self.value**k
+    def _moments(self):
+        yield self.value
+        yield self.value**2
 
     def _lst(self, s: float) -> float:
         return math.exp(-s * self.value)
@@ -176,12 +168,9 @@ class Erlang(ServiceDistribution):
         # a whole float such as 2.0 is stored as the int the cdf loop needs
         object.__setattr__(self, "shape", int(self.shape))
 
-    def _moment(self, k: int) -> float:
-        # Gamma(shape + k) / Gamma(shape) = shape (shape+1) ... (shape+k-1)
-        num = 1.0
-        for j in range(k):
-            num *= self.shape + j
-        return num / self.rate**k
+    def _moments(self):
+        yield self.shape / self.rate
+        yield self.shape * (self.shape + 1) / self.rate**2
 
     def _lst(self, s: float) -> float:
         return (self.rate / (self.rate + s)) ** self.shape
@@ -224,9 +213,9 @@ class HyperExponential(ServiceDistribution):
                  f"hyperexp weights must sum to 1, got {sum(self.weights)!r}")
         _require(all(r > 0 for r in self.rates), "hyperexp rates must be > 0")
 
-    def _moment(self, k: int) -> float:
-        fk = math.factorial(k)
-        return sum(w * fk / r**k for w, r in zip(self.weights, self.rates))
+    def _moments(self):
+        yield sum(w / r for w, r in zip(self.weights, self.rates))
+        yield sum(w * 2 / r**2 for w, r in zip(self.weights, self.rates))
 
     def _lst(self, s: float) -> float:
         return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates)
@@ -271,8 +260,10 @@ class Uniform(ServiceDistribution):
         _require(self.hi > self.lo,
                  f"uniform needs lo < hi, got lo={self.lo}, hi={self.hi}")
 
-    def _moment(self, k: int) -> float:
-        return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
+    def _moments(self):
+        # sums: a difference of powers over hi - lo cancels when hi ~ lo
+        yield (self.lo + self.hi) / 2
+        yield (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3
 
     def _lst(self, s: float) -> float:
         x = s * (self.hi - self.lo)

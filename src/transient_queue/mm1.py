@@ -41,13 +41,15 @@ def Mm1Model(arrival_rate: float, service_rate: float) -> QueueModel:
 
 
 def _rates(model: QueueModel):
-    """(lam, mu, rho) of an M/M/1 model; other laws raise.  rho = lam / mu,
-    not ``model.rho`` = lam * (1/mu), which differs in the last bit for about
-    a quarter of pairs; ``QueueModel``'s bound keeps lam / mu < 1."""
+    """(lam, mu, rho) of an M/M/1 model; other laws and lam mu past double
+    range raise.  rho = lam / mu, not ``model.rho`` = lam * (1/mu), which
+    differs in the last bit for a quarter of pairs; QueueModel keeps it < 1."""
     if not isinstance(model.service, Exponential):
         raise ValueError(f"the M/M/1 series needs exponential service, got "
                          f"{model.service.spec_string()}")
     lam, mu = model.arrival_rate, model.service.rate
+    if not 0.0 < lam * mu < math.inf:
+        raise ValueError(f"lambda * mu = {lam!r} * {mu!r} leaves double range")
     return lam, mu, lam / mu
 
 

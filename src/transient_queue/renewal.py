@@ -24,6 +24,14 @@ COARSE_GRID_WARNING = "coarse_grid"
 _NEAR = 256
 
 
+def _point_count(span: float, step: float) -> int:
+    """The point count of ``TimeGrid.covering`` and of an s grid's span."""
+    steps = span / step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"{span:g} / {step:g} is not a finite step count")
+    return math.floor(steps) + 1
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i * step, i = 0 .. n_points-1."""
@@ -42,7 +50,7 @@ class TimeGrid:
     def covering(cls, t_max: float, step: float) -> "TimeGrid":
         """The grid of ``step`` up to its last point at or below ``t_max``,
         allowing 1e-9 steps of rounding in t_max / step."""
-        return cls(step=step, n_points=int(math.floor(t_max / step + 1e-9)) + 1)
+        return cls(step=step, n_points=_point_count(t_max, step))
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.n_points)

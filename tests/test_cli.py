@@ -292,6 +292,52 @@ def test_malformed_range_exits_2_with_its_message(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+_ENDLESS = ["--t-max", "1e300", "--step", "1e-10"]
+_SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, code, names", [
+    (["simulate", "--lambda", "0.5", *_SEEDED, *_ENDLESS], 2,
+     "--step: 1e+300 / 1e-10 is not a finite step count"),
+    (["renewal", "--lambda", "0.5", *_SEEDED, *_ENDLESS], 2,
+     "--step: 1e+300 / 1e-10 is not a finite step count"),
+    (["compare", "--lambda", "0.5", *_SEEDED, *_ENDLESS], 2,
+     "--step: 1e+300 / 1e-10 is not a finite step count"),
+    (["mm1-exact", "--lambda", "0.5", "--mu", "1", *_ENDLESS], 2,
+     "--step: 1e+300 / 1e-10 is not a finite step count"),
+    (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+      "--s-grid", "0:1e300:1e-10"], 2, "--s-grid 0:1e300:1e-10"),
+    # 10^15 points: numpy refuses the 8 PB array before allocating any of it
+    (["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "1e12",
+      "--step", "1e-3"], 1, "(1000000000000001,)"),
+    (["busy-period", "--lambda", "1e-170", "--service", "exp:rate=1"], 2,
+     "arrival rate 1e-170"),
+    (["busy-period", "--lambda", "1e-155", "--service", "exp:rate=1"], 2,
+     "arrival rate 1e-155"),
+    (["busy-period", "--lambda", "1e300", "--service", "exp:rate=1e301"], 2,
+     "arrival rate 1e+300"),
+    (["simulate", "--lambda", "1e-300", *_SEEDED, "--t-max", "1",
+      "--step", "0.5"], 2, "arrival rate 1e-300"),
+    (["busy-period", "--lambda", "1e-30", "--service", "det:value=1e-300",
+      "--abscissa"], 2, "1e-30 * mean service 1e-300"),
+    (["mm1-exact", "--lambda", "1e200", "--mu", "2e200", "--t-max", "1e-200",
+      "--step", "5e-201"], 2, "1e+200 * 2e+200"),
+], ids=["simulate-endless-grid", "renewal-endless-grid",
+        "compare-endless-grid", "mm1-endless-grid", "s-grid-endless",
+        "mm1-grid-past-memory", "idle-second-underflow",
+        "cycle-mean-squared-overflow", "lambda-squared-overflow",
+        "simulate-idle-second-underflow", "load-underflow",
+        "mm1-bessel-argument-overflow"])
+def test_input_past_double_range_exits_with_a_message(tmp_path, capsys, argv,
+                                                      code, names):
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == code
+    err = capsys.readouterr().err
+    assert names in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_every_cli_option_is_exercised():
     # a flag that no test or benchmark passes is a branch nothing runs
     root = Path(__file__).resolve().parent.parent

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,23 @@ ALL_KINDS = [
 
 def test_moment_examples():
     assert Exponential(1.0).moment(2) == pytest.approx(2.0)
-    assert Deterministic(1.0).moment(3) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        Deterministic(1.0).moment(3)
     assert Erlang(2, 2.0).moment(2) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1000.0, 1000.000001), (7.0, 7.000000000001), (1.0, 1.0 + 2**-40),
+    (0.5, 1.5), (1e-3, 1e3),
+])
+def test_uniform_moments_match_exact_rationals(lo, hi):
+    # hi^(k+1) - lo^(k+1) over (k+1)(hi - lo) cancels when hi is near lo
+    exact = ((Fraction(lo) + Fraction(hi)) / 2,
+             (Fraction(lo) ** 2 + Fraction(lo) * Fraction(hi)
+              + Fraction(hi) ** 2) / 3)
+    d = Uniform(lo, hi)
+    for k, value in zip((1, 2), exact):
+        assert abs(Fraction(d.moment(k)) - value) <= value * Fraction(1e-15)
 
 
 def test_lst_examples():
@@ -144,10 +160,9 @@ def test_law_of_large_numbers():
 
 
 def test_moment_order_validation():
-    with pytest.raises(ValueError):
-        Exponential(1.0).moment(0)
-    with pytest.raises(ValueError, match="range|overflow|exceeds"):
-        Exponential(1.0).moment(10_000)
+    for k in (0, 3, 10_000):
+        with pytest.raises(ValueError, match="moment order must be 1 or 2"):
+            Exponential(1.0).moment(k)
 
 
 def test_parameter_validation():
@@ -276,7 +291,7 @@ def test_uniform_lst_bounds(lo, width, s):
 
 
 @settings(max_examples=40)
-@given(shape=st.integers(1, 8), rate=st.floats(0.1, 10.0), k=st.integers(1, 4))
+@given(shape=st.integers(1, 8), rate=st.floats(0.1, 10.0), k=st.integers(1, 2))
 def test_erlang_moments_are_sums_of_exponentials(shape, rate, k):
     # Erlang(shape) is a sum of iid exponentials; check k-th moment against
     # quadrature of the density instead of the closed form under test

@@ -108,3 +108,26 @@ def test_oracles_share_only_sampling_and_seeding():
     assert KERNELS.isdisjoint(oracle_names())
     assert oracle_imports_from("transient_queue.mm1") == set()
     assert oracle_imports_from("transient_queue.renewal") <= {"Curve", "TimeGrid"}
+
+
+def test_every_public_name_is_read_outside_the_unit_tests():
+    # a name whose only readers are its own unit tests is a candidate for
+    # deletion; the acceptance tests stand for the paper's criteria
+    init = ROOT / "src" / "transient_queue" / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [*ROOT.glob("src/transient_queue/*.py"), *SOURCES,
+               ROOT / "tests" / "test_acceptance.py"]
+    read = set()
+    for path in readers:
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    assert exported
+    assert sorted(exported - read) == []
