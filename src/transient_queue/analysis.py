@@ -41,9 +41,18 @@ class FitResult:
 
 
 def stationary_pk(model: QueueModel) -> float:
-    """Stationary mean virtual waiting time lam * b2 / (2 (1 - rho))."""
-    return (model.arrival_rate * model.service.moment(2)
-            / (2.0 * (1.0 - model.rho)))
+    """Stationary mean virtual waiting time lam * b2 / (2 (1 - rho)).  A
+    value past double range, either way, raises ``ValueError``."""
+    try:
+        value = (model.arrival_rate * model.service.moment(2)
+                 / (2.0 * (1.0 - model.rho)))
+        if 0.0 < value < math.inf:
+            return value
+    except (OverflowError, ZeroDivisionError):  # a power past double range
+        pass
+    raise ValueError(f"the stationary mean at arrival rate "
+                     f"{model.arrival_rate!r} with {model.service.spec_string()}"
+                     f" is not a positive finite double")
 
 
 def fit_decay_rate(curve: Curve, phi_inf: float, window: tuple,

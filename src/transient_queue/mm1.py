@@ -81,14 +81,21 @@ def _batches(widths: np.ndarray):
     """Split positions 0 .. len(widths)-1, taken in order of width, into
     batches of at most _BATCH_ENTRIES (points x widest point) entries; a
     point wider than that goes alone."""
-    batch = []
-    for j in np.argsort(widths, kind="stable"):
-        if batch and (len(batch) + 1) * widths[j] > _BATCH_ENTRIES:
-            yield np.array(batch)
-            batch = []
-        batch.append(j)
-    if batch:
-        yield np.array(batch)
+    order = np.argsort(widths, kind="stable")
+    # sorted j > i joins i's batch while (j-i+1) widths_j <= cap: over[j] <= i
+    over = np.arange(1, len(order) + 1) - _BATCH_ENTRIES // widths[order]
+    i = 0
+    while i < len(order):
+        j = max(int(np.searchsorted(over, i, side="right")), i + 1)
+        yield order[i:j]
+        i = j
+
+
+def _sum_orders(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (orders x points) array, adding its rows
+    in order as a running sum does: numpy does so for two or more columns
+    but sums a lone column pairwise, so that one is read off a cumsum."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
 def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
@@ -104,23 +111,23 @@ def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
     q_k = I_k / I_{k+1} = 2(k+1)/x + 1/q_{k+1} run backward one order at a
     time across all x_j, each column from its own cut.  The logs of the
     factors are summed up each column and shifted by its largest, so no
-    exponential overflows or cancels, and the total is a running sum read
-    at the column's own cut: a column's bits do not depend on its batch.
-    Orders run along axis 0; the result is the transpose.
+    exponential overflows or cancels.  Orders run along axis 0 and the total
+    adds them in order through the zeros past the cut (``_sum_orders``), so
+    a column's bits do not depend on its batch; the result is the transpose.
     """
     width = int(cut.max()) + 1
     q = 2.0 * np.arange(width + 1)[:, None] / x   # row k + 1: 2(k+1)/x
     init = 2.0 * (cut + 1) / x + x / (2.0 * (cut + 2))
-    begins = {}
-    for j, c in enumerate(cut.tolist()):
-        begins.setdefault(c, []).append(j)
+    order = np.argsort(cut, kind="stable")
+    # the columns order[first[k]:first[k + 1]] start at order k
+    first = np.searchsorted(cut[order], np.arange(width + 1)).tolist()
     inv = np.empty(len(x))
     prev = np.full(len(x), np.inf)  # so the top row starts as 2 width / x
     for k, row in zip(range(width - 1, -1, -1), q[:0:-1]):
         np.reciprocal(prev, inv)
         np.add(row, inv, row)
-        cols = begins.get(k)
-        if cols is not None:
+        if first[k] < first[k + 1]:
+            cols = order[first[k] : first[k + 1]]
             row[cols] = init[cols]
         prev = row
     s = q[:-1]                                       # row 0 is 0
@@ -132,9 +139,7 @@ def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
     np.exp(s, out=s)
     weight = 1.0 + rho ** np.arange(width)
     weight[0] = 1.0
-    total = np.multiply(s, weight[:, None])
-    np.cumsum(total, axis=0, out=total)
-    s /= total[cut, np.arange(len(x))]
+    s /= _sum_orders(s * weight[:, None])
     return s.T
 
 
@@ -195,8 +200,8 @@ def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
     for idx in _batches(cuts + 1):
         cut = cuts[idx]
         up = _skellam_rows(x_all[idx], log_r, rho, cut)
-        top = up[np.arange(len(idx))[:, None], cut[:, None] - np.arange(5)]
-        ratio = top.max(axis=1) / up.max(axis=1)
+        top = up.T[cut - np.arange(5)[:, None], np.arange(len(idx))]
+        ratio = top.max(axis=0) / up.T.max(axis=0)
         bad = np.flatnonzero(~(ratio <= 2e-17))  # five below 1e-16
         if bad.size:
             i = bad[0]
@@ -263,9 +268,9 @@ def _phi_and_p0(model: QueueModel, t: np.ndarray):
       P_0    = up[0] + up[1] + (1-rho) sum_{k>=2} up[k]
 
     so both end where the summands do.  No weight is negative, so nothing
-    cancels.  S and phi's sum are running sums along their rows, read at
-    each row's own cut, and P_0's sum runs down from it, past which the
-    summands are 0, so a point's bits do not depend on its batch.
+    cancels.  Phi's sum and P_0's suffix sum add each point's orders in
+    order down the contiguous (orders x points) array, through the zeros
+    past its cut (``_sum_orders``): a point's bits do not depend on its batch.
     """
     bad = ~(np.isfinite(t) & (t >= 0))
     if bad.any():
@@ -274,19 +279,18 @@ def _phi_and_p0(model: QueueModel, t: np.ndarray):
     value = np.zeros(len(t))
     p0 = np.ones(len(t))
     pending = np.flatnonzero(t > 0)
-    for positions, up, cut in _summand_rows(model, t[pending], 0):
+    for positions, up, _ in _summand_rows(model, t[pending], 0):
         j = pending[positions]
+        up = up.T  # orders x points, C-ordered
         # the suffix sum of up from the top, as pn_array forms it
-        p0[j] = (up[:, 0] + up[:, 1]
-                 + (1.0 - rho) * np.cumsum(up[:, :1:-1], axis=1)[:, -1])
-        k = np.arange(up.shape[1])
+        p0[j] = up[0] + up[1] + (1.0 - rho) * _sum_orders(up[:1:-1])
+        k = np.arange(len(up))
         k_rho_k = k * rho**k
         weight = k_rho_k.copy()
         weight[1:] += k_rho_k[:-1]
         weight[2:] += (1.0 - rho) * np.cumsum(k_rho_k[:-2])
-        up *= weight
-        np.cumsum(up, axis=1, out=up)
-        value[j] = up[np.arange(len(j)), cut] / mu
+        up *= weight[:, None]
+        value[j] = _sum_orders(up) / mu
         del up  # free this batch before the next one is built
     return value, p0
 

@@ -27,8 +27,9 @@ _NEAR = 256
 def _point_count(span: float, step: float) -> int:
     """The point count of ``TimeGrid.covering`` and of an s grid's span."""
     steps = span / step + 1e-9
-    if not math.isfinite(steps):
-        raise ValueError(f"{span:g} / {step:g} is not a finite step count")
+    if not steps < np.iinfo(np.intp).max:  # numpy's largest index; nan too
+        raise ValueError(f"{span:g} / {step:g} is not a finite step count "
+                         f"below {np.iinfo(np.intp).max}")
     return math.floor(steps) + 1
 
 

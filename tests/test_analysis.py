@@ -50,6 +50,18 @@ def test_stationary_pk_equals_mm1_closed_form():
         assert abs(stationary_pk(model) - reference) < 1e-14 * max(reference, 1.0)
 
 
+@pytest.mark.parametrize("model", [
+    QueueModel(1e-300, Deterministic(1e200)),   # value^2 raises
+    QueueModel(1e-300, Exponential(1e-160)),    # 2 / rate^2 is inf
+    QueueModel(1e-300, Exponential(1e-170)),    # rate^2 is 0
+    QueueModel(1e-300, Deterministic(1e-15)),   # lam b2 underflows to 0
+], ids=["b2-overflow", "b2-inf", "rate-squared-underflow",
+        "product-underflow"])
+def test_stationary_pk_past_double_range_raises(model):
+    with pytest.raises(ValueError, match="arrival rate 1e-300 with"):
+        stationary_pk(model)
+
+
 # --------------------------------------------------------------------- fit
 
 def test_fit_recovers_exact_exponential():

@@ -293,6 +293,7 @@ def test_malformed_range_exits_2_with_its_message(tmp_path, capsys, argv,
 
 
 _ENDLESS = ["--t-max", "1e300", "--step", "1e-10"]
+_UNINDEXABLE = ["--t-max", "1e300", "--step", "1"]
 _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
 
 
@@ -322,12 +323,25 @@ _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
       "--abscissa"], 2, "1e-30 * mean service 1e-300"),
     (["mm1-exact", "--lambda", "1e200", "--mu", "2e200", "--t-max", "1e-200",
       "--step", "5e-201"], 2, "1e+200 * 2e+200"),
+    # finite step counts past numpy's largest index, refused before numpy
+    # sees them
+    (["mm1-exact", "--lambda", "0.5", "--mu", "1", *_UNINDEXABLE], 2,
+     "--step: 1e+300 / 1 is not a finite step count"),
+    (["renewal", "--lambda", "0.5", *_SEEDED, *_UNINDEXABLE], 2,
+     "--step: 1e+300 / 1 is not a finite step count"),
+    (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+      "--s-grid", "0:1e300:1"], 2, "--s-grid 0:1e300:1: 1e+300 / 1"),
+    (["compare", "--lambda", "1e-300", "--service", "det:value=1e200",
+      "--reps", "10", "--seed", "1", "--t-max", "10", "--step", "1"], 2,
+     "arrival rate 1e-300 with det:value=1e+200"),
 ], ids=["simulate-endless-grid", "renewal-endless-grid",
         "compare-endless-grid", "mm1-endless-grid", "s-grid-endless",
         "mm1-grid-past-memory", "idle-second-underflow",
         "cycle-mean-squared-overflow", "lambda-squared-overflow",
         "simulate-idle-second-underflow", "load-underflow",
-        "mm1-bessel-argument-overflow"])
+        "mm1-bessel-argument-overflow", "mm1-unindexable-grid",
+        "renewal-unindexable-grid", "s-grid-unindexable",
+        "compare-stationary-mean-overflow"])
 def test_input_past_double_range_exits_with_a_message(tmp_path, capsys, argv,
                                                       code, names):
     out = tmp_path / "out"
@@ -336,6 +350,18 @@ def test_input_past_double_range_exits_with_a_message(tmp_path, capsys, argv,
     assert names in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_fit_rate_refuses_a_stationary_mean_past_double_range(tmp_path,
+                                                              capsys):
+    curve_path = tmp_path / "exact.csv"
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "10",
+                 "--step", "0.5", "-o", str(curve_path)]) == 0
+    assert main(["fit-rate", "--input", str(curve_path), "--window", "1:9",
+                 "--lambda", "1e-300", "--service", "det:value=1e200"]) == 2
+    err = capsys.readouterr().err
+    assert "arrival rate 1e-300 with det:value=1e+200" in err
+    assert "Traceback" not in err
 
 
 def test_every_cli_option_is_exercised():

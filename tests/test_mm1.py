@@ -178,6 +178,35 @@ def test_phi_curve_matches_pointwise():
         assert curve.values[i] == phi_exact(MM1, float(t))
 
 
+def test_phi_curve_point_that_fills_a_batch_alone_matches_phi_exact():
+    # the point at t = 3e4 has cut 17,142, so its 17,143 orders fill a
+    # batch alone: its sums run down a lone column, as in phi_exact, while
+    # t = 1e4 and 2e4 share a batch of two
+    grid = TimeGrid(10000.0, 4)
+    for literal in (False, True):
+        curve = phi_curve(MM1, grid, paper_literal=literal)
+        for i, t in enumerate(grid.times()):
+            assert curve.values[i] == phi_exact(MM1, float(t), literal)
+
+
+@pytest.mark.parametrize("rows", [2, 9, 200, 1000])
+@pytest.mark.parametrize("cols", [1, 2, 3, 500])
+def test_numpy_sums_the_rows_of_a_c_ordered_array_in_order(rows, cols):
+    # the series' sums over orders rely on this: for two or more columns,
+    # sum(axis=0) adds the rows one after another, as a running sum does,
+    # also on the reversed view.  A lone column is summed pairwise, so the
+    # series reads that one off a running sum
+    rng = np.random.default_rng(rows * 1000 + cols)
+    a = rng.random((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+    if cols > 1:
+        for view in (a, a[::-1]):
+            assert np.array_equal(view.sum(axis=0),
+                                  np.cumsum(view, axis=0)[-1])
+    elif rows == 1000:
+        # the documented exception: pairwise sums differ in the last bits
+        assert not np.array_equal(a.sum(axis=0), np.cumsum(a, axis=0)[-1])
+
+
 def _spy(monkeypatch, name):
     """Record the positional arguments of every call to mm1.<name>."""
     calls = []
