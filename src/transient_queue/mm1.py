@@ -101,7 +101,7 @@ def _sum_orders(a: np.ndarray) -> np.ndarray:
 def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
                   cut: np.ndarray) -> np.ndarray:
     """Row j holds s_k = r^k e^{-x_j} I_k(x_j) / C_j for k = 0 .. cut_j and 0
-    past it (x_j > 0, r = e^{log_r}), with C_j such that the row's own
+    past it (x_j >= 0, r = e^{log_r}), with C_j such that the row's own
     total s_0 + sum_{k>=1} (1 + rho^k) s_k is 1.
 
     At rho = 1/r^2 the summands are the Skellam law of Poisson(mu t) -
@@ -114,10 +114,13 @@ def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
     exponential overflows or cancels.  Orders run along axis 0 and the total
     adds them in order through the zeros past the cut (``_sum_orders``), so
     a column's bits do not depend on its batch; the result is the transpose.
+    At x_j = 0 every ratio q_k is inf, so every factor is 0 and the row is
+    (1, 0, 0, ...), the law of Poisson(0) - Poisson(0).
     """
     width = int(cut.max()) + 1
-    q = 2.0 * np.arange(width + 1)[:, None] / x   # row k + 1: 2(k+1)/x
-    init = 2.0 * (cut + 1) / x + x / (2.0 * (cut + 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # x_j = 0
+        q = 2.0 * np.arange(width + 1)[:, None] / x   # row k + 1: 2(k+1)/x
+        init = 2.0 * (cut + 1) / x + x / (2.0 * (cut + 2))
     order = np.argsort(cut, kind="stable")
     # the columns order[first[k]:first[k + 1]] start at order k
     first = np.searchsorted(cut[order], np.arange(width + 1)).tolist()
@@ -130,7 +133,8 @@ def _skellam_rows(x: np.ndarray, log_r: float, rho: float,
             cols = order[first[k] : first[k + 1]]
             row[cols] = init[cols]
         prev = row
-    s = q[:-1]                                       # row 0 is 0
+    s = q[:-1]
+    s[0] = 0.0                                       # log(s_0 / s_0)
     np.log(s[1:], out=s[1:])
     np.subtract(log_r, s[1:], out=s[1:])             # log(r / q_{k-1})
     np.cumsum(s, axis=0, out=s)                      # log(s_k / s_0)
@@ -147,17 +151,14 @@ def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
     """Scaled modified Bessel values e^{-x} I_n(x) for n = 0 .. n_max.
 
     The row of ``_skellam_rows`` at r = rho = 1, cut 20 orders past n_max
-    or past the decay point of I_n(x) in n, whichever is higher.  Raises
-    ``SeriesTruncationError`` if that cut is past _PN_TAIL_CAP.
+    or past the decay point of I_n(x) in n, whichever is higher; at x = 0
+    that row is (1, 0, 0, ...).  Raises ``SeriesTruncationError`` if that
+    cut is past _PN_TAIL_CAP, at x = 0 too.
     """
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"argument must be finite and >= 0, got {x}")
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
     cut = max(int(_miller_start_order(x)), n_max + 20)
     if cut > _PN_TAIL_CAP:
         raise SeriesTruncationError(
@@ -168,12 +169,12 @@ def bessel_i_scaled_array(n_max: int, x: float) -> np.ndarray:
 
 
 def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
-    """Yield (positions, up, cuts) until every t_j > 0 is done, where row i
-    belongs to position j = positions[i] and holds, for k = 0 .. cuts_i,
+    """Yield (positions, up) until every t_j >= 0 is done, where row i
+    belongs to position j = positions[i] and holds, up to its cut,
 
       up[i, k] = e^{-(lam+mu)t} r^k I_k(x)
 
-    with x = 2 sqrt(lam mu) t_j and r = sqrt(mu/lam); past cuts_i it is 0.
+    with x = 2 sqrt(lam mu) t_j and r = sqrt(mu/lam); past the cut it is 0.
     The series' other summands e^{-(lam+mu)t} r^{-k} I_k(x) are rho^k up[k],
     since r^{-2} = rho, so the consumers weight this one row.  Together
     they are the Skellam law of Poisson(mu t) - Poisson(lam t), so each row
@@ -208,7 +209,7 @@ def _summand_rows(model: QueueModel, t: np.ndarray, n_min: int):
             raise SeriesTruncationError(
                 f"the series at t = {t[idx[i]]:.6g} is not negligible at its "
                 f"cut {cut[i]}", float(ratio[i]))
-        yield idx, up, cut
+        yield idx, up
         del up  # free this batch before the next one is built
 
 
@@ -222,18 +223,15 @@ def pn_array(model: QueueModel, t: float, n_max: int) -> np.ndarray:
     keeps its own suffix sum and is accurate relative to itself while its
     summands do not underflow: at mu = 1 and (lam, t, n_max) = (0.2, 0.5,
     40), (0.5, 5, 80) and (0.9, 20, 150) each entry is within 4e-14 of a
-    40-digit reference.  A cut past the cap raises ``SeriesTruncationError``.
+    40-digit reference.  A cut past the cap raises ``SeriesTruncationError``,
+    at t = 0 too.
     """
     _, _, rho = _rates(model)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
-    if t == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    [(_, up, _)] = _summand_rows(model, np.array([float(t)]), n_max + 2)
+    [(_, up)] = _summand_rows(model, np.array([float(t)]), n_max + 2)
     up = up[0]
     tail = np.cumsum(up[::-1])[::-1]  # sum_{k>=m} up[k], from the top
     probs = up[: n_max + 1] + up[1 : n_max + 2]
@@ -271,16 +269,15 @@ def _phi_and_p0(model: QueueModel, t: np.ndarray):
     cancels.  Phi's sum and P_0's suffix sum add each point's orders in
     order down the contiguous (orders x points) array, through the zeros
     past its cut (``_sum_orders``): a point's bits do not depend on its batch.
+    At t = 0 the row (1, 0, 0, ...) gives phi = 0 and P_0 = 1 exactly.
     """
     bad = ~(np.isfinite(t) & (t >= 0))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {t[bad][0]}")
     _, mu, rho = _rates(model)
-    value = np.zeros(len(t))
-    p0 = np.ones(len(t))
-    pending = np.flatnonzero(t > 0)
-    for positions, up, _ in _summand_rows(model, t[pending], 0):
-        j = pending[positions]
+    value = np.empty(len(t))
+    p0 = np.empty(len(t))
+    for j, up in _summand_rows(model, t, 0):
         up = up.T  # orders x points, C-ordered
         # the suffix sum of up from the top, as pn_array forms it
         p0[j] = up[0] + up[1] + (1.0 - rho) * _sum_orders(up[:1:-1])

@@ -27,9 +27,10 @@ _NEAR = 256
 def _point_count(span: float, step: float) -> int:
     """The point count of ``TimeGrid.covering`` and of an s grid's span."""
     steps = span / step + 1e-9
-    if not steps < np.iinfo(np.intp).max:  # numpy's largest index; nan too
+    limit = np.iinfo(np.intp).max // 8  # the largest float64 array's size
+    if not steps < limit:  # nan too
         raise ValueError(f"{span:g} / {step:g} is not a finite step count "
-                         f"below {np.iinfo(np.intp).max}")
+                         f"below {limit}")
     return math.floor(steps) + 1
 
 
@@ -203,8 +204,8 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     a = (1 - c_0, -c_1, -c_2, ...).  v = 1 / a comes by Newton doubling
     (Kung 1974): with v known to h terms, the terms h .. k-1 (k = 2h) of
     a v are e, and v's next k - h terms are the first of -v e.  Lags of a
-    below _NEAR enter e directly and the rest by FFT; H = v b likewise
-    takes its first _NEAR points directly and the rest by FFT.
+    below _NEAR enter e directly and the rest by FFT; H = v b is one FFT
+    product whose first _NEAR points are then summed directly.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
@@ -236,10 +237,8 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
         h = k
     b = 1.0 + 0.5 * dF[1:]
     H = np.ones(n)
-    if m > _NEAR:
-        size = 1 << (2 * m - 2).bit_length()  # >= 2m - 1, so nothing wraps
-        H[1:] = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(b, size),
-                             size)[:m]
+    size = 1 << (2 * m - 2).bit_length()  # >= 2m - 1, so nothing wraps
+    H[1:] = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(b, size), size)[:m]
     H[1 : _NEAR + 1] = np.convolve(v[:_NEAR], b[:_NEAR])[: min(m, _NEAR)]
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied

@@ -133,6 +133,43 @@ def mm1_series_mp(lam: float, mu: float, t: float):
         return float(phi), float(pn[0])
 
 
+def mm1_gaps_mp(lam: float, mu: float, t: float):
+    """(phi_inf - phi(t), P_0(t) - (1 - rho)) of the M/M/1 queue started
+    empty, from the integrals along the branch cut of its transforms, with
+    x(y) = lam + mu - 2 sqrt(lam mu) cos y:
+
+      phi_inf - phi(t)   = (2 lam / pi) int_0^pi e^{-x(y) t} sin^2 y / x(y)^2 dy
+      P_0(t) - (1 - rho) = (2 lam / pi) int_0^pi e^{-x(y) t} sin^2 y / x(y) dy
+
+    by 40-digit quadrature on panels that double in width from the peak's
+    width at y = 0 out to pi.  No term cancels, so each gap is accurate
+    relative to itself at any t; at t = 0 they are lam / (mu (mu - lam))
+    and rho."""
+    with mpmath.workdps(40):
+        lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+        g = mpmath.sqrt(lam * mu)
+
+        def integrand(power):
+            def f(y):
+                x = lam + mu - 2 * g * mpmath.cos(y)
+                return mpmath.exp(-x * t) * mpmath.sin(y) ** 2 / x**power
+            return f
+
+        # e^{-x t} peaks within 1 / sqrt(g t) of y = 0, 1 / x^2 within
+        # sqrt(x(0) / g)
+        width = mpmath.sqrt((lam + mu - 2 * g) / g)
+        if t > 0:
+            width = min(width, 1 / mpmath.sqrt(g * t))
+        cuts = [mpmath.mpf(0)]
+        while width < mpmath.pi:
+            cuts.append(width)
+            width *= 2
+        cuts.append(mpmath.pi)
+        scale = 2 * lam / mpmath.pi
+        return (float(scale * mpmath.quad(integrand(2), cuts)),
+                float(scale * mpmath.quad(integrand(1), cuts)))
+
+
 def birth_death_phi(lam: float, mu: float, t: float,
                     n_states: int = 400) -> float:
     """Mean workload E N(t) / mu from the ODE oracle."""

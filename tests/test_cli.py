@@ -294,6 +294,9 @@ def test_malformed_range_exits_2_with_its_message(tmp_path, capsys, argv,
 
 _ENDLESS = ["--t-max", "1e300", "--step", "1e-10"]
 _UNINDEXABLE = ["--t-max", "1e300", "--step", "1"]
+# 2e18 + 1 points: indexable, but past the largest float64 array, which
+# numpy refuses before allocating
+_UNSTORABLE = ["--t-max", "2e18", "--step", "1"]
 _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
 
 
@@ -331,6 +334,12 @@ _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
      "--step: 1e+300 / 1 is not a finite step count"),
     (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
       "--s-grid", "0:1e300:1"], 2, "--s-grid 0:1e300:1: 1e+300 / 1"),
+    (["mm1-exact", "--lambda", "0.5", "--mu", "1", *_UNSTORABLE], 2,
+     "--step: 2e+18 / 1 is not a finite step count"),
+    (["renewal", "--lambda", "0.5", *_SEEDED, *_UNSTORABLE], 2,
+     "--step: 2e+18 / 1 is not a finite step count"),
+    (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
+      "--s-grid", "0:2e18:1"], 2, "--s-grid 0:2e18:1: 2e+18 / 1"),
     (["compare", "--lambda", "1e-300", "--service", "det:value=1e200",
       "--reps", "10", "--seed", "1", "--t-max", "10", "--step", "1"], 2,
      "arrival rate 1e-300 with det:value=1e+200"),
@@ -341,6 +350,8 @@ _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
         "simulate-idle-second-underflow", "load-underflow",
         "mm1-bessel-argument-overflow", "mm1-unindexable-grid",
         "renewal-unindexable-grid", "s-grid-unindexable",
+        "mm1-unstorable-grid", "renewal-unstorable-grid",
+        "s-grid-unstorable",
         "compare-stationary-mean-overflow"])
 def test_input_past_double_range_exits_with_a_message(tmp_path, capsys, argv,
                                                       code, names):

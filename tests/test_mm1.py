@@ -11,7 +11,7 @@ from transient_queue import (Deterministic, Exponential, Mm1Model,
                              phi_curve, phi_exact, pn_array, theoretical_rate)
 
 from oracles import (bessel_series_scaled, birth_death_phi, birth_death_pn,
-                     mm1_series_mp, rbm_mean_ratio, skellam_pn)
+                     mm1_gaps_mp, mm1_series_mp, rbm_mean_ratio, skellam_pn)
 
 MM1 = Mm1Model(0.5, 1.0)
 
@@ -146,6 +146,14 @@ def test_phi_exact_at_zero():
     assert phi_exact(MM1, 0.0) == 0.0
 
 
+def test_phi_curve_at_zero_on_the_analytic_grid():
+    # t = 0 shares the series' first batch with the smallest positive times;
+    # its row (1, 0, 0, ...) gives phi = 0 and P_0 = 1 exactly
+    grid = TimeGrid.covering(100.0, 0.2)
+    assert phi_curve(MM1, grid).values[0] == 0.0
+    assert phi_curve(MM1, grid, paper_literal=True).values[0] == 1.0
+
+
 def test_phi_exact_stationary_limits():
     assert phi_exact(MM1, 200.0) == pytest.approx(1.0, abs=1e-6)
     assert phi_exact(MM1, 200.0, paper_literal=True) == pytest.approx(
@@ -262,9 +270,9 @@ def test_phi_curve_matches_pointwise_across_batches(model, grid, expect,
     values = _values(model, grid)
     xs = np.concatenate([x for x, *_ in bessel_calls])
     times = grid.times() if isinstance(grid, TimeGrid) else grid
-    # one pass per point: each positive time gets exactly one row of the
-    # Bessel recurrence, sized once by the start-order rule
-    assert len(xs) == len(np.unique(xs)) == np.count_nonzero(times)
+    # one pass per point: each time gets exactly one row of the Bessel
+    # recurrence, sized once by the start-order rule
+    assert len(xs) == len(np.unique(xs)) == len(times)
     if expect == "batches":
         assert len(bessel_calls) > 1
     for literal in (False, True):
@@ -314,6 +322,22 @@ def test_phi_and_p0_against_a_40_digit_series(lam, t):
     assert p[0] == pytest.approx(p0, rel=4e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+def test_phi_and_p0_gaps_against_the_branch_cut_integrals(lam):
+    # the gaps to the stationary values from 40-digit quadrature, which
+    # shares no step with the series; measured worst errors were 7.9e-16
+    # phi_inf for phi's gap and 2.2e-16 for P_0's, so the bounds are
+    # 2e-15 phi_inf and 1e-15
+    rho = lam
+    phi_inf = rho / (1.0 - rho)
+    t = np.array([0.0, 0.5, 2.0, 10.0, 40.0, 100.0, 200.0, 400.0])
+    value, p0 = mm1._phi_and_p0(Mm1Model(lam, 1.0), t)
+    for i, ti in enumerate(t):
+        phi_gap, p0_gap = mm1_gaps_mp(lam, 1.0, ti)
+        assert abs((phi_inf - value[i]) - phi_gap) <= 2e-15 * phi_inf, ti
+        assert abs((p0[i] - (1.0 - rho)) - p0_gap) <= 1e-15, ti
+
+
 def test_phi_truncation_cap():
     # at t = 3e5 the series needs order 156,729, under the cap, and the gap
     # to the stationary value is e^{-25,736}: phi is the
@@ -344,10 +368,13 @@ def test_series_where_rho_k_underflows():
     lambda: pn_array(MM1, 1.0, 300_000),
     lambda: bessel_i_scaled_array(300_000, 1.0),
     lambda: bessel_i_scaled_array(0, 1.0e9),   # the start order alone
-], ids=["pn_array", "bessel", "bessel-large-x"])
+    lambda: pn_array(MM1, 0.0, 300_000),
+    lambda: bessel_i_scaled_array(300_000, 0.0),
+], ids=["pn_array", "bessel", "bessel-large-x", "pn_array-t0", "bessel-x0"])
 def test_requested_orders_past_the_cap_raise(call):
     # the orders the caller asks for count against the cap, not only the
-    # start-order rule, and the call raises before any row is built
+    # start-order rule, at t = 0 and x = 0 as elsewhere, and the call raises
+    # before any row is built
     with pytest.raises(SeriesTruncationError, match="cap") as caught:
         call()
     assert caught.value.achieved_bound == math.inf
