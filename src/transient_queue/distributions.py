@@ -245,7 +245,9 @@ class HyperExponential(ServiceDistribution):
         if size is None:
             return rng.exponential(scales[bisect.bisect_right(cdf, rng.random())])
         idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return rng.exponential(scales[idx])
+        # the bits of rng.exponential(scales[idx]), without its per-draw
+        # scale array
+        return scales[idx] * rng.standard_exponential(size)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,12 @@ _NEAR = 256
 def _point_count(span: float, step: float) -> int:
     """The point count of ``TimeGrid.covering`` and of an s grid's span."""
     steps = span / step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"{span:g} / {step:g} is not a finite step count")
     limit = np.iinfo(np.intp).max // 8  # the largest float64 array's size
-    if not steps < limit:  # nan too
-        raise ValueError(f"{span:g} / {step:g} is not a finite step count "
-                         f"below {limit}")
+    if not steps < limit:
+        raise ValueError(f"{span:g} / {step:g} gives {steps + 1:.6g} grid "
+                         f"points, past the largest array's {limit}")
     return math.floor(steps) + 1
 
 
@@ -190,31 +192,11 @@ def _validate_cdf(values: np.ndarray) -> None:
         raise ValueError("cycle CDF must not exceed 1")
 
 
-def renewal_function(cycle_cdf: Curve) -> Curve:
-    """Renewal function H (including the zeroth term, H(0)=1) for the cycle CDF.
-
-    Solves the discretized renewal equation
-    H(t_i) = 1 + sum_j H(t_i - t_j + step/2) * (F(t_j) - F(t_{j-1}))
-    with the half-step evaluation realized by averaging neighbouring grid
-    values of H; the j=1 increment makes the recursion weakly implicit.
-    Collecting the weight of each H_m gives, for i >= 1,
-      (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
-    c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  So
-    H_1, H_2, ... is the power series b / a, with b = 1 + dF[1:] / 2 and
-    a = (1 - c_0, -c_1, -c_2, ...).  v = 1 / a comes by Newton doubling
+def _reciprocal(a: np.ndarray, m: int) -> np.ndarray:
+    """The first m terms of the power series 1 / a, by Newton doubling
     (Kung 1974): with v known to h terms, the terms h .. k-1 (k = 2h) of
     a v are e, and v's next k - h terms are the first of -v e.  Lags of a
-    below _NEAR enter e directly and the rest by FFT; H = v b is one FFT
-    product whose first _NEAR points are then summed directly.
-    """
-    F = cycle_cdf.values
-    _validate_cdf(F)
-    grid = cycle_cdf.grid
-    n = grid.n_points
-    dF = np.diff(F, prepend=F[0])
-    a = -0.5 * (dF[:-1] + dF[1:])
-    a[0] += 1.0
-    m = n - 1
+    below _NEAR enter e directly and the rest by FFT."""
     v = np.full(m, 1.0 / a[0])  # v_0; the steps below fill the rest
     far = a.copy()
     far[:_NEAR] = 0.0
@@ -235,11 +217,62 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
             v[h:k] = -np.fft.irfft(spectrum * np.fft.rfft(e, size),
                                    size)[: k - h]
         h = k
+    return v
+
+
+def renewal_function(cycle_cdf: Curve) -> Curve:
+    """Renewal function H (including the zeroth term, H(0)=1) for the cycle CDF.
+
+    Solves the discretized renewal equation
+    H(t_i) = 1 + sum_j H(t_i - t_j + step/2) * (F(t_j) - F(t_{j-1}))
+    with the half-step evaluation realized by averaging neighbouring grid
+    values of H; the j=1 increment makes the recursion weakly implicit.
+    Collecting the weight of each H_m gives, for i >= 1,
+      (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
+    c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  So
+    H_1, H_2, ... is the power series b / a, with b = 1 + dF[1:] / 2 and
+    a = (1 - c_0, -c_1, -c_2, ...).  With h = ceil(m / 2) of the m = n - 1
+    terms, v = 1 / a comes to h terms by `_reciprocal`, and one quotient
+    step (Karp & Markstein 1997) gives the rest: q = v b to h terms, the
+    residual r = b - a q on terms h .. m-1, and q's last m - h terms as the
+    first of v r.  The three products share one FFT size at or above m;
+    the first _NEAR terms of v b and the lags of a below _NEAR are summed
+    directly, and grids of m <= 2 _NEAR run no FFT.
+    """
+    F = cycle_cdf.values
+    _validate_cdf(F)
+    grid = cycle_cdf.grid
+    n = grid.n_points
+    dF = np.diff(F, prepend=F[0])
+    a = -0.5 * (dF[:-1] + dF[1:])
+    a[0] += 1.0
     b = 1.0 + 0.5 * dF[1:]
+    m = n - 1
+    h = (m + 1) // 2
+    v = _reciprocal(a, h)
     H = np.ones(n)
-    size = 1 << (2 * m - 2).bit_length()  # >= 2m - 1, so nothing wraps
-    H[1:] = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(b, size), size)[:m]
-    H[1 : _NEAR + 1] = np.convolve(v[:_NEAR], b[:_NEAR])[: min(m, _NEAR)]
+    q = H[1:]  # H_1 .. H_m, the quotient b / a
+    if m <= 2 * _NEAR:  # every product is short
+        q[:h] = np.convolve(v, b[:h])[:h]
+        if m > h:  # else n = 2, and b / a is one term
+            r = b[h:] - np.convolve(a, q[:h])[h:m]
+            q[h:] = np.convolve(v[: m - h], r)[: m - h]
+    else:
+        # one cyclic size >= m serves all three products: v b and v r have
+        # at most m - 1 terms, and a q[:h]'s terms past it wrap below h
+        size = 1 << (m - 1).bit_length()
+        spectrum = np.fft.rfft(v, size)
+        q[:h] = np.fft.irfft(spectrum * np.fft.rfft(b[:h], size), size)[:h]
+        q[:_NEAR] = np.convolve(v[:_NEAR], b[:_NEAR])[:_NEAR]
+        far = a.copy()
+        far[:_NEAR] = 0.0
+        r = b[h:] - np.fft.irfft(np.fft.rfft(q[:h], size)
+                                 * np.fft.rfft(far, size), size)[h:m]
+        # lags below _NEAR reach [h, m) from q's last _NEAR - 1 entries only
+        lo = h - _NEAR + 1
+        near = np.convolve(q[lo:h], a[:_NEAR])[h - lo : m - lo]
+        r[: len(near)] -= near
+        q[h:] = np.fft.irfft(spectrum * np.fft.rfft(r, size), size)[: m - h]
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied
     # by the (possibly truncated) CDF itself

@@ -329,15 +329,19 @@ _SEEDED = ["--service", "exp:rate=1", "--reps", "10", "--seed", "1"]
     # finite step counts past numpy's largest index, refused before numpy
     # sees them
     (["mm1-exact", "--lambda", "0.5", "--mu", "1", *_UNINDEXABLE], 2,
-     "--step: 1e+300 / 1 is not a finite step count"),
+     "--step: 1e+300 / 1 gives 1e+300 grid points, past the "
+     "largest array's 1152921504606846975"),
     (["renewal", "--lambda", "0.5", *_SEEDED, *_UNINDEXABLE], 2,
-     "--step: 1e+300 / 1 is not a finite step count"),
+     "--step: 1e+300 / 1 gives 1e+300 grid points, past the "
+     "largest array's 1152921504606846975"),
     (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
       "--s-grid", "0:1e300:1"], 2, "--s-grid 0:1e300:1: 1e+300 / 1"),
     (["mm1-exact", "--lambda", "0.5", "--mu", "1", *_UNSTORABLE], 2,
-     "--step: 2e+18 / 1 is not a finite step count"),
+     "--step: 2e+18 / 1 gives 2e+18 grid points, past the "
+     "largest array's 1152921504606846975"),
     (["renewal", "--lambda", "0.5", *_SEEDED, *_UNSTORABLE], 2,
-     "--step: 2e+18 / 1 is not a finite step count"),
+     "--step: 2e+18 / 1 gives 2e+18 grid points, past the "
+     "largest array's 1152921504606846975"),
     (["busy-period", "--lambda", "0.5", "--service", "exp:rate=1",
       "--s-grid", "0:2e18:1"], 2, "--s-grid 0:2e18:1: 2e+18 / 1"),
     (["compare", "--lambda", "1e-300", "--service", "det:value=1e200",

@@ -136,20 +136,21 @@ def test_sampling_reproducible():
 ])
 def test_hyperexp_draws_match_choice_then_exponential(weights, rates):
     # the sampler must pick each component with the very uniform that
-    # Generator.choice(p=weights) consumes, so seeded streams never move
+    # Generator.choice(p=weights) consumes, and draw the very bits of
+    # Generator.exponential, so seeded streams never move
     dist = HyperExponential(weights, rates)
     scales = 1.0 / np.asarray(rates)
     for seed in range(200):
         fast = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
         got = [dist.sample(fast) for _ in range(12)]
-        got += list(dist.sample(fast, 9)) + list(dist.sample(fast, (2, 3)).ravel())
         want = [ref.exponential(scales[ref.choice(len(rates), p=weights)])
                 for _ in range(12)]
-        for size in (9, (2, 3)):
-            idx = ref.choice(len(rates), p=weights, size=size)
-            want += list(ref.exponential(scales[idx]).ravel())
         assert got == want
+        for size in (9, (2, 3), 12_000):
+            idx = ref.choice(len(rates), p=weights, size=size)
+            assert np.array_equal(dist.sample(fast, size),
+                                  ref.exponential(scales[idx]))
         assert fast.bit_generator.state == ref.bit_generator.state
 
 

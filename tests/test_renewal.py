@@ -135,19 +135,33 @@ CDFS = {"exp": lambda t: Exponential(1.0).cdf(t),
             heavy_first_cycles(0.01, 8001).cycle_cdf.values[: len(t)]}
 
 
-# edges of the solve: its m = n - 1 unknowns use no FFT up to m = 256
-# (n = 257); each FFT size is a power of two, so n = 2^j + 1 fills one
-# exactly and one more point needs the next; and from n = 513 on, the last
-# Newton step reaches past the direct lags of its first entry
-@pytest.mark.parametrize("law", sorted(CDFS))
-@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 255, 256, 257, 258, 512,
-                               513, 1025, 2049, 4097, 4098, 8001])
-def test_renewal_function_matches_pointwise_recursion(law, n):
+@functools.cache
+def solve_and_recursion(law, n):
+    """H by the library and by the long-double recursion, on ``law``'s CDF
+    at step 0.01 over n points."""
     grid = TimeGrid(step=0.01, n_points=n)
     F = CDFS[law](grid.times())
-    H = renewal_function(Curve(grid, F)).values
-    expected = renewal_by_recursion(F)
+    return renewal_function(Curve(grid, F)).values, renewal_by_recursion(F)
+
+
+# edges of the solve: its m = n - 1 unknowns use no FFT up to m = 512
+# (n = 513); each FFT size is a power of two, so n = 2^j + 1 fills one
+# exactly and one more point needs the next
+@pytest.mark.parametrize("law", sorted(CDFS))
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 255, 256, 257, 258, 512,
+                               513, 514, 1025, 2049, 4097, 4098, 8001])
+def test_renewal_function_matches_pointwise_recursion(law, n):
+    H, expected = solve_and_recursion(law, n)
     assert np.all(np.abs(H - expected) <= 1e-13 * np.abs(expected))
+
+
+# the worst error measured was 2.1e-14, on exp's last points at n = 20001,
+# where the kernel's full mass makes H grow like 1 + t
+@pytest.mark.parametrize("law", ["atom-0.5", "erlang2", "exp", "first-cell"])
+@pytest.mark.parametrize("n", [8001, 20001])
+def test_renewal_function_within_long_double_recursion(law, n):
+    H, expected = solve_and_recursion(law, n)
+    assert np.all(np.abs(H - expected) <= 3e-14 * expected)
 
 
 @pytest.mark.parametrize("law", sorted(CDFS))
