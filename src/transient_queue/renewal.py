@@ -192,28 +192,42 @@ def _validate_cdf(values: np.ndarray) -> None:
         raise ValueError("cycle CDF must not exceed 1")
 
 
-def _reciprocal(a: np.ndarray, m: int) -> np.ndarray:
+def _middle(a: np.ndarray, far: np.ndarray, x: np.ndarray, k: int,
+            spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+    """Terms h .. k-1 of the product a x, x having h <= k terms.  Lags of a
+    below _NEAR are summed directly, the rest (``far``, a with those lags
+    zeroed) by one cyclic product at the power of two >= k, which wraps
+    terms of a x only below h; ``spectrum`` is x's rfft at that size, when
+    the caller has it."""
+    h = len(x)
+    # lags below _NEAR reach [h, k) from x's last _NEAR - 1 entries only
+    lo = max(0, h - _NEAR + 1)
+    near = np.convolve(x[lo:], a[:_NEAR])[h - lo : k - lo]
+    if k <= _NEAR:  # every lag is near
+        return near
+    size = 1 << (k - 1).bit_length()
+    if spectrum is None:
+        spectrum = np.fft.rfft(x, size)
+    e = np.fft.irfft(spectrum * np.fft.rfft(far[:k], size), size)[h:k]
+    e[: len(near)] += near
+    return e
+
+
+def _reciprocal(a: np.ndarray, far: np.ndarray, m: int) -> np.ndarray:
     """The first m terms of the power series 1 / a, by Newton doubling
     (Kung 1974): with v known to h terms, the terms h .. k-1 (k = 2h) of
-    a v are e, and v's next k - h terms are the first of -v e.  Lags of a
-    below _NEAR enter e directly and the rest by FFT."""
+    a v are e, and v's next k - h terms are the first of -v e."""
     v = np.full(m, 1.0 / a[0])  # v_0; the steps below fill the rest
-    far = a.copy()
-    far[:_NEAR] = 0.0
     h = 1
     while h < m:
         k = min(2 * h, m)
-        # lags below _NEAR reach [h, k) from v's last _NEAR - 1 entries only
-        lo = max(0, h - _NEAR + 1)
-        near = np.convolve(v[lo:h], a[:_NEAR])[h - lo : k - lo]
-        if k <= _NEAR:  # every lag is near
-            v[h:k] = -np.convolve(v[: k - h], near)[: k - h]
+        if k <= _NEAR:
+            e = _middle(a, far, v[:h], k)
+            v[h:k] = -np.convolve(v[: k - h], e)[: k - h]
         else:
-            # a cyclic product of size >= k wraps terms of a v only below h
             size = 1 << (k - 1).bit_length()
             spectrum = np.fft.rfft(v[:h], size)
-            e = np.fft.irfft(spectrum * np.fft.rfft(far[:k], size), size)[h:k]
-            e[: len(near)] += near
+            e = _middle(a, far, v[:h], k, spectrum)
             v[h:k] = -np.fft.irfft(spectrum * np.fft.rfft(e, size),
                                    size)[: k - h]
         h = k
@@ -234,10 +248,10 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     a = (1 - c_0, -c_1, -c_2, ...).  With h = ceil(m / 2) of the m = n - 1
     terms, v = 1 / a comes to h terms by `_reciprocal`, and one quotient
     step (Karp & Markstein 1997) gives the rest: q = v b to h terms, the
-    residual r = b - a q on terms h .. m-1, and q's last m - h terms as the
-    first of v r.  The three products share one FFT size at or above m;
-    the first _NEAR terms of v b and the lags of a below _NEAR are summed
-    directly, and grids of m <= 2 _NEAR run no FFT.
+    residual r = b - a q on terms h .. m-1 by `_middle`, and q's last
+    m - h terms as the first of v r.  The three products share one FFT
+    size at or above m; the first _NEAR terms of v b and the lags of a
+    below _NEAR are summed directly.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
@@ -247,32 +261,22 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     a = -0.5 * (dF[:-1] + dF[1:])
     a[0] += 1.0
     b = 1.0 + 0.5 * dF[1:]
+    far = a.copy()
+    far[:_NEAR] = 0.0
     m = n - 1
     h = (m + 1) // 2
-    v = _reciprocal(a, h)
+    v = _reciprocal(a, far, h)
     H = np.ones(n)
     q = H[1:]  # H_1 .. H_m, the quotient b / a
-    if m <= 2 * _NEAR:  # every product is short
-        q[:h] = np.convolve(v, b[:h])[:h]
-        if m > h:  # else n = 2, and b / a is one term
-            r = b[h:] - np.convolve(a, q[:h])[h:m]
-            q[h:] = np.convolve(v[: m - h], r)[: m - h]
-    else:
-        # one cyclic size >= m serves all three products: v b and v r have
-        # at most m - 1 terms, and a q[:h]'s terms past it wrap below h
-        size = 1 << (m - 1).bit_length()
-        spectrum = np.fft.rfft(v, size)
-        q[:h] = np.fft.irfft(spectrum * np.fft.rfft(b[:h], size), size)[:h]
-        q[:_NEAR] = np.convolve(v[:_NEAR], b[:_NEAR])[:_NEAR]
-        far = a.copy()
-        far[:_NEAR] = 0.0
-        r = b[h:] - np.fft.irfft(np.fft.rfft(q[:h], size)
-                                 * np.fft.rfft(far, size), size)[h:m]
-        # lags below _NEAR reach [h, m) from q's last _NEAR - 1 entries only
-        lo = h - _NEAR + 1
-        near = np.convolve(q[lo:h], a[:_NEAR])[h - lo : m - lo]
-        r[: len(near)] -= near
-        q[h:] = np.fft.irfft(spectrum * np.fft.rfft(r, size), size)[: m - h]
+    # one cyclic size >= m serves all three products: v b and v r have at
+    # most m - 1 terms, and a q[:h]'s terms past it wrap below h
+    size = 1 << (m - 1).bit_length()
+    spectrum = np.fft.rfft(v, size)
+    q[:h] = np.fft.irfft(spectrum * np.fft.rfft(b[:h], size), size)[:h]
+    k = min(h, _NEAR)
+    q[:k] = np.convolve(v[:k], b[:k])[:k]
+    r = b[h:] - _middle(a, far, q[:h], m)
+    q[h:] = np.fft.irfft(spectrum * np.fft.rfft(r, size), size)[: m - h]
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied
     # by the (possibly truncated) CDF itself

@@ -202,18 +202,18 @@ def erlang2_renewal(t):
 
 def renewal_by_recursion(cdf_values) -> np.ndarray:
     """The discrete renewal equation the library solves, point by point in
-    80-bit long double: H_0 = 1 and, for i >= 1,
-    H_i = (1 + dF_i / 2 + sum_{m=1}^{i-1} c_{i-m} H_m) / (1 - c_0),
-    with dF_j = F_j - F_{j-1} and c_k = (dF_k + dF_{k+1}) / 2: each cell's
-    increment weighs the mean of H at the cell's two ends, H_0's share
-    being dF_i / 2 and H_i's own c_0."""
+    80-bit long double: H_0 = 1 and
+    H_i = 1 + sum_{j=1}^{i} dF_j (H_{i-j} + H_{i-j+1}) / 2,
+    with dF_j = F_j - F_{j-1}; the j = 1 term holds H_i itself, so each
+    step divides by 1 - dF_1 / 2."""
     F = np.asarray(cdf_values, dtype=np.longdouble)
     dF = np.diff(F, prepend=F[0])
-    c = 0.5 * (dF[:-1] + dF[1:])
     H = np.ones(len(F), dtype=np.longdouble)
     for i in range(1, len(F)):
-        known = np.dot(c[i - 1 : 0 : -1], H[1:i])  # c_{i-m} H_m, m < i
-        H[i] = (1.0 + 0.5 * dF[i] + known) / (1.0 - c[0])
+        lo = H[i - 1 :: -1]   # H_{i-j},     j = 1 .. i
+        hi = H[i - 1 : 0 : -1]  # H_{i-j+1}, j = 2 .. i
+        known = np.dot(dF[1 : i + 1], lo) + np.dot(dF[2 : i + 1], hi)
+        H[i] = (1.0 + 0.5 * known) / (1.0 - 0.5 * dF[1])
     return H
 
 
