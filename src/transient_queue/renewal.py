@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import stat
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,27 +91,34 @@ class Curve:
         return self.grid.times()
 
 
-def _plain_open_mode(path) -> int:
-    """Permission bits ``open(path, "w")`` would leave: the replaced file's
-    own, or 0o666 less the umask for a new file."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
+def _new_temp(directory: str):
+    """A new empty file ``.tq-<random>.tmp`` in ``directory``, open for
+    writing; the kernel gives it 0o666 less the umask."""
+    for _ in range(100):
+        tmp = os.path.join(directory, f".tq-{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                           0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temp file name in {directory}")
 
 
 def atomic_write(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and a rename, so a
     failure never leaves a half-written file in place of the old one.
-    The file gets the mode a plain ``open(path, "w")`` would give it."""
+    The file gets the mode a plain ``open(path, "w")`` would give it: the
+    replaced file's own, or 0o666 less the umask for a new file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    mode = _plain_open_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tq-", suffix=".tmp")
     try:
-        os.chmod(tmp, mode)
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    fd, tmp = _new_temp(directory)
+    try:
         with os.fdopen(fd, "w", newline="") as fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -132,11 +138,206 @@ def write_curve_csv(curve: Curve, path) -> None:
 
 def _csv_text(header: str, columns) -> str:
     """``header``, then one row per entry of the equal-length ``columns``,
-    every number at full double precision."""
-    rows = ",".join(["%.17g"] * len(columns)) + "\n"
-    # one format over Python floats, which print as numpy scalars do
-    cells = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + (rows * len(columns[0])) % tuple(cells)
+    each cell the bytes ``"%.17g"`` gives the double, written by numpy
+    about _CELL_BLOCK cells at a time (`_csv_cells`)."""
+    ncol = len(columns)
+    rows = max(1, _CELL_BLOCK // ncol)
+    src = np.empty((rows * ncol, _SRC_WIDTH), np.uint8)
+    src[:, _POINT] = ord(".")
+    src[:, _ZERO] = ord("0")
+    src[:, _MINUS] = ord("-")
+    src[:, _SEP] = ord(",")
+    src[ncol - 1::ncol, _SEP] = ord("\n")
+    pieces = [header + "\n"]
+    for start in range(0, len(columns[0]), rows):
+        cells = np.column_stack([c[start:start + rows] for c in columns])
+        pieces += _csv_cells(cells.astype(np.float64, copy=False).ravel(),
+                             src)
+    return "".join(pieces)
+
+
+# A cell's text is laid out from its row of _SRC_WIDTH source bytes: the
+# 17 digits from _DIGIT on, the literals, the exponent's 8 bytes and the
+# separator.  A layout picks the cell's _CELL_WIDTH output bytes from the
+# row; a keep mask drops the unused ones, a positive cell's sign and the
+# trailing zeros (with a bare point) that "%g" drops.
+_CELL_BLOCK = 1024
+_DIGIT, _POINT, _ZERO, _MINUS, _EXP, _SEP = 3, 20, 21, 22, 23, 31
+_SRC_WIDTH = 32
+_CELL_WIDTH = 25  # "-d.dddddddddddddddde-ddd" and the separator
+# |x| in [_FAST_MIN, _FAST_MAX) takes the vector path; the scale table
+# covers every decimal exponent such an x can have, after the carry
+_E_MIN, _E_MAX = -100, 100
+_FAST_MIN, _FAST_MAX = 1e-99, 1e99
+# the scaled product errs by about 1e-14 of a unit; a cell whose fraction
+# lies this close to a half (exact ties among them) is left to "%.17g"
+_BAND = 1e-6
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+
+
+def _split(v):
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scale_table() -> np.ndarray:
+    """Rows (t, t's two halves, tail) per decimal exponent E: 10**(16 - E)
+    as the double-double t + tail, from Python's exact integers."""
+    t, tail = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        k = 16 - e
+        if k >= 0:
+            n = 10**k
+            t.append(float(n))
+            tail.append(float(n - int(t[-1])))
+        else:
+            d = 10**-k
+            t.append(1 / d)  # int division rounds correctly
+            p, q = t[-1].as_integer_ratio()
+            tail.append((q - p * d) / (q * d))
+    t = np.array(t)
+    return np.column_stack([t, *_split(t), tail])
+
+
+def _layout_tables():
+    """The layout table, one row per layout type, and the keep table.  The
+    type is E + 4 for the fixed notation "%g" uses at -4 <= E < 17, then
+    exponent notation with two and with three exponent digits.  The keep
+    table's row is ((negative * types) + type) * 17 + trailing zeros, and
+    its last row keeps nothing (a cell left to "%.17g")."""
+    digits = list(range(_DIGIT, _DIGIT + 17))
+    layouts, whole = [], []  # source columns; digits before the point
+    for e in range(-4, 17):
+        if e >= 0:
+            layouts.append([_MINUS] + digits[:e + 1] + [_POINT]
+                           + digits[e + 1:])
+        else:
+            layouts.append([_MINUS, _ZERO, _POINT] + [_ZERO] * (-e - 1)
+                           + digits)
+        whole.append(max(e + 1, 0))
+    for exp in ([0, 1, 3, 4], [0, 1, 2, 3, 4]):  # "e", sign, [hundreds,] ..
+        layouts.append([_MINUS, digits[0], _POINT] + digits[1:]
+                       + [_EXP + i for i in exp])
+        whole.append(1)
+    types = len(layouts)
+    layout = np.full((types, _CELL_WIDTH), _SEP, np.intp)
+    used = np.zeros((types, _CELL_WIDTH), bool)
+    used[:, -1] = True
+    for i, cols in enumerate(layouts):
+        layout[i, :len(cols)] = cols
+        used[i, :len(cols)] = True
+    # digit j stays if it is before the point or before the trailing
+    # zeros; the point stays if a digit follows it
+    j = np.where((layout >= _DIGIT) & (layout < _DIGIT + 17),
+                 layout - _DIGIT, -1)[:, None, :]
+    whole = np.array(whole)[:, None, None]
+    left = 17 - np.arange(17)[None, :, None]  # digits before the zeros
+    keep = used[:, None, :] & (j < np.maximum(whole, left)) & (
+        (layout != _POINT)[:, None, :] | (left > whole))
+    unsigned = keep.copy()
+    unsigned[..., 0] = False
+    return layout, np.concatenate([unsigned.reshape(-1, _CELL_WIDTH),
+                                   keep.reshape(-1, _CELL_WIDTH),
+                                   np.zeros((1, _CELL_WIDTH), bool)])
+
+
+def _exponent_tables():
+    """Per decimal exponent: the layout type and the exponent's bytes
+    ("e+05", "e-100") as one 8-byte word."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    kind = np.where((e >= -4) & (e < 17), e + 4,
+                    np.where(np.abs(e) < 100, 21, 22)).astype(np.uint8)
+    text = b"".join(b"e%+04d\0\0\0" % k for k in e.tolist())
+    return kind, np.frombuffer(text, np.uint64)
+
+
+_SCALE = _scale_table()
+_LAYOUT, _KEEP = _layout_tables()
+_KEEP_LEN = _KEEP.sum(axis=1)
+_DROP = len(_KEEP) - 1
+_TYPES = len(_LAYOUT)
+_KIND, _EXP_TEXT = _exponent_tables()
+_QUADS = np.ascontiguousarray(  # "0000" .. "9999" as 4-byte words
+    np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+).view(np.uint32).ravel()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """Floor and fraction of a * 10**(16 - e): Dekker's exact product of a
+    and t, plus a * tail."""
+    t, th, tl, tail = _SCALE[e - _E_MIN].T
+    ah, al = _split(a)
+    p = a * t
+    err = al * tl - (((p - ah * th) - al * th) - ah * tl)
+    rest = err + a * tail
+    whole = np.floor(rest)
+    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _decimal(x: np.ndarray):
+    """Each cell's 17 significant digits as M in [10**16, 10**17), its
+    decimal exponent E, and whether the pair is certified: |x| is in the
+    table's range and the scaled product's fraction is not within _BAND
+    of a half."""
+    a = np.abs(x)
+    ok = (a >= _FAST_MIN) & (a < _FAST_MAX)  # no 0, subnormal, inf or nan
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    big, frac = _scaled(a, e)
+    # log10 can miss E by one next to a power of ten: E comes from the
+    # unrounded product
+    off = (big >= 10**17).astype(np.int64) - (big < 10**16)
+    if off.any():
+        i = np.flatnonzero(off)
+        e[i] += off[i]
+        big[i], frac[i] = _scaled(a[i], e[i])
+    ok &= np.abs(frac - 0.5) > _BAND
+    big += frac > 0.5
+    carry = big == 10**17
+    big[carry] = 10**16
+    e += carry
+    return big, e, ok
+
+
+def _digit_text(big: np.ndarray) -> np.ndarray:
+    """Rows of 20 bytes: "000", then the 17 digits of ``big``."""
+    groups = np.empty((len(big), 5), np.intp)  # leading digit, then fours
+    hi, lo = np.divmod(big, 10**8)
+    np.divmod(hi, 10**8, out=(groups[:, 0], hi))
+    np.divmod(hi, 10**4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(lo, 10**4, out=(groups[:, 3], groups[:, 4]))
+    return _QUADS[groups].view(np.uint8)
+
+
+def _csv_cells(x: np.ndarray, src: np.ndarray) -> list:
+    """Pieces of the text of the cells ``x``, whole rows, each followed by
+    its separator in ``src``: laid out by table from `_decimal`'s digits
+    and exponents, but for the cells it cannot certify, which are
+    formatted one by one."""
+    n = len(x)
+    big, e, ok = _decimal(x)
+    rows = src[:n]
+    rows[:, :_POINT] = _digit_text(big)
+    rows[:, _EXP:_SEP] = _EXP_TEXT[e - _E_MIN, None].view(np.uint8)
+    kind = _KIND[e - _E_MIN]
+    zeros = np.argmax(rows[:, _POINT - 1:_DIGIT - 1:-1] != ord("0"), axis=1)
+    key = ((x < 0) * _TYPES + kind) * 17 + zeros
+    key[~ok] = _DROP
+    index = _LAYOUT[kind]
+    index += np.arange(0, n * _SRC_WIDTH, _SRC_WIDTH)[:, None]
+    text = np.compress(_KEEP[key].ravel(), np.take(src, index).ravel())
+    bad = np.flatnonzero(~ok)
+    if not bad.size:
+        return [text.tobytes().decode("ascii")]
+    ends = np.cumsum(_KEEP_LEN[key])
+    pieces, start = [], 0
+    for i in bad.tolist():
+        pieces.append(text[start:ends[i]].tobytes().decode("ascii"))
+        pieces.append("%.17g%c" % (x[i], rows[i, _SEP]))
+        start = ends[i]
+    pieces.append(text[start:].tobytes().decode("ascii"))
+    return pieces
 
 
 def read_curve_csv(path) -> Curve:

@@ -331,3 +331,12 @@ def first_cycles_by_simulate_cycle(model: QueueModel, cfg: McConfig):
     cdf = np.mean(lengths[:, None] <= times, axis=0)
     return (_mean_curve(cfg.grid, w), _mean_curve(cfg.grid, excess),
             Curve(cfg.grid, cdf))
+
+
+def csv_text_by_cell(header, columns) -> str:
+    """``header``, then one line per row of the equal-length ``columns``,
+    each cell formatted on its own by Python's ``"%.17g"``."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join("%.17g" % float(x) for x in row))
+    return "\n".join(lines) + "\n"

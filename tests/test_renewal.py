@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transient_queue import (Curve, Erlang, Exponential, McConfig,
                              QueueModel, TimeGrid, cycle_moments,
@@ -436,6 +438,40 @@ def test_rewritten_file_keeps_its_mode(tmp_path):
     write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert path.read_text().startswith("t,value")
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: reading it by setting it races other threads
+    def umask(mask):
+        raise AssertionError("os.umask was called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(Curve(make_grid(0.5, 2.0), np.arange(5.0)), path)
+    write_curve_csv(Curve(make_grid(0.5, 2.0), np.ones(5)), path)
+    assert path.read_text().startswith("t,value\n0,1\n")
+    assert list(tmp_path.glob(".tq-*.tmp")) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(step=st.floats(0.0, 1e300, exclude_min=True),
+       cells=st.integers(2, 30).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=n, max_size=n),
+           st.none() | st.lists(st.floats(0.0, 1e300), min_size=n,
+                                max_size=n))))
+def test_curve_csv_round_trip_is_bit_exact(tmp_path_factory, step, cells):
+    values, stderr = cells
+    curve = Curve(TimeGrid(step, len(values)), values, stderr=stderr)
+    path = tmp_path_factory.mktemp("csv") / "curve.csv"
+    write_curve_csv(curve, path)
+    back = read_curve_csv(path)
+    assert back.grid == curve.grid
+    assert back.values.tobytes() == curve.values.tobytes()
+    if stderr is None:
+        assert back.stderr is None
+    else:
+        assert back.stderr.tobytes() == curve.stderr.tobytes()
 
 
 @pytest.mark.parametrize("text, reason", [
