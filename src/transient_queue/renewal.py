@@ -403,7 +403,7 @@ def _middle(a: np.ndarray, far: np.ndarray, x: np.ndarray, k: int,
     h = len(x)
     # lags below _NEAR reach [h, k) from x's last _NEAR - 1 entries only
     lo = max(0, h - _NEAR + 1)
-    near = np.convolve(x[lo:], a[:_NEAR])[h - lo : k - lo]
+    near = np.convolve(x[lo:], a[: min(k, _NEAR)])[h - lo : k - lo]
     if k <= _NEAR:  # every lag is near
         return near
     size = 1 << (k - 1).bit_length()
@@ -414,25 +414,37 @@ def _middle(a: np.ndarray, far: np.ndarray, x: np.ndarray, k: int,
     return e
 
 
-def _reciprocal(a: np.ndarray, far: np.ndarray, m: int) -> np.ndarray:
-    """The first m terms of the power series 1 / a, by Newton doubling
-    (Kung 1974): with v known to h terms, the terms h .. k-1 (k = 2h) of
-    a v are e, and v's next k - h terms are the first of -v e."""
-    v = np.full(m, 1.0 / a[0])  # v_0; the steps below fill the rest
-    h = 1
-    while h < m:
-        k = min(2 * h, m)
-        if k <= _NEAR:
-            e = _middle(a, far, v[:h], k)
-            v[h:k] = -np.convolve(v[: k - h], e)[: k - h]
-        else:
-            size = 1 << (k - 1).bit_length()
-            spectrum = np.fft.rfft(v[:h], size)
-            e = _middle(a, far, v[:h], k, spectrum)
-            v[h:k] = -np.fft.irfft(spectrum * np.fft.rfft(e, size),
-                                   size)[: k - h]
-        h = k
-    return v
+def _quotient(a: np.ndarray, far: np.ndarray, b: Optional[np.ndarray],
+              m: int) -> np.ndarray:
+    """The first m terms of the power series b / a, or of 1 / a when b is
+    None, by one quotient step (Karp & Markstein 1997) on v = 1 / a to
+    h = ceil(m / 2) terms, which is this same step on the unit: q = v b to
+    h terms (v itself for the unit), the residual r = b - a q on terms
+    h .. m-1 by `_middle`, and q's last m - h terms as the first of v r.
+    Up to _NEAR terms every product is summed directly; above, the three
+    share one cyclic size, the power of two >= m (v b and v r have at most
+    m - 1 terms, and a q's terms past it wrap below h), and v b's first
+    _NEAR terms are summed directly."""
+    if m == 1:
+        return np.array([1.0 / a[0] * (1.0 if b is None else b[0])])
+    h = (m + 1) // 2
+    v = _quotient(a, far, None, h)
+    if m <= _NEAR:
+        q = v if b is None else np.convolve(v, b[:h])[:h]
+        e = _middle(a, far, q, m)
+        r = -e if b is None else b[h:m] - e
+        return np.concatenate((q, np.convolve(v[: m - h], r)[: m - h]))
+    size = 1 << (m - 1).bit_length()
+    spectrum = np.fft.rfft(v, size)
+    if b is None:
+        q, r = v, -_middle(a, far, v, m, spectrum)
+    else:
+        q = np.fft.irfft(spectrum * np.fft.rfft(b[:h], size), size)[:h]
+        k = min(h, _NEAR)
+        q[:k] = np.convolve(v[:k], b[:k])[:k]
+        r = b[h:m] - _middle(a, far, q, m)
+    tail = np.fft.irfft(spectrum * np.fft.rfft(r, size), size)[: m - h]
+    return np.concatenate((q, tail))
 
 
 def renewal_function(cycle_cdf: Curve) -> Curve:
@@ -446,13 +458,8 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
       (1 - c_0) H_i - sum_{m=1}^{i-1} c_{i-m} H_m = 1 + dF_i / 2,
     c_k = (dF_k + dF_{k+1}) / 2, the dF_i / 2 being H_0's term.  So
     H_1, H_2, ... is the power series b / a, with b = 1 + dF[1:] / 2 and
-    a = (1 - c_0, -c_1, -c_2, ...).  With h = ceil(m / 2) of the m = n - 1
-    terms, v = 1 / a comes to h terms by `_reciprocal`, and one quotient
-    step (Karp & Markstein 1997) gives the rest: q = v b to h terms, the
-    residual r = b - a q on terms h .. m-1 by `_middle`, and q's last
-    m - h terms as the first of v r.  The three products share one FFT
-    size at or above m; the first _NEAR terms of v b and the lags of a
-    below _NEAR are summed directly.
+    a = (1 - c_0, -c_1, -c_2, ...), whose m = n - 1 terms `_quotient`
+    gives.
     """
     F = cycle_cdf.values
     _validate_cdf(F)
@@ -464,20 +471,7 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
     b = 1.0 + 0.5 * dF[1:]
     far = a.copy()
     far[:_NEAR] = 0.0
-    m = n - 1
-    h = (m + 1) // 2
-    v = _reciprocal(a, far, h)
-    H = np.ones(n)
-    q = H[1:]  # H_1 .. H_m, the quotient b / a
-    # one cyclic size >= m serves all three products: v b and v r have at
-    # most m - 1 terms, and a q[:h]'s terms past it wrap below h
-    size = 1 << (m - 1).bit_length()
-    spectrum = np.fft.rfft(v, size)
-    q[:h] = np.fft.irfft(spectrum * np.fft.rfft(b[:h], size), size)[:h]
-    k = min(h, _NEAR)
-    q[:k] = np.convolve(v[:k], b[:k])[:k]
-    r = b[h:] - _middle(a, far, q[:h], m)
-    q[h:] = np.fft.irfft(spectrum * np.fft.rfft(r, size), size)[: m - h]
+    H = np.concatenate(([1.0], _quotient(a, far, b, n - 1)))
     warnings = ()
     # coarse-grid guard: compare step against the mean cycle length implied
     # by the (possibly truncated) CDF itself
@@ -489,6 +483,8 @@ def renewal_function(cycle_cdf: Curve) -> Curve:
 
 def renewal_residual(H: Curve, cycle_cdf: Curve) -> np.ndarray:
     """Residual of the discrete renewal equation actually solved (== 0)."""
+    if H.grid != cycle_cdf.grid:
+        raise ValueError("H and the cycle CDF must share one grid")
     F = cycle_cdf.values
     h = H.values
     return h - 1.0 - _stieltjes(h, np.diff(F, prepend=F[0]))
@@ -503,6 +499,11 @@ def phi_via_renewal(q: Curve, H: Curve) -> Curve:
     """
     if q.grid != H.grid:
         raise ValueError("q and H must share one grid")
+    # NaN passes every comparison below, and the FFT would spread it
+    for name, x in (("q", q.values), ("q's stderr", q.stderr),
+                    ("H", H.values)):
+        if x is not None and not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite")
     if np.any(q.values < 0):
         raise ValueError("q must be nonnegative")
     dH = np.diff(H.values, prepend=H.values[0])

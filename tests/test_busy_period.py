@@ -154,6 +154,12 @@ def test_abscissa_examples():
     assert got == pytest.approx(0.25, abs=1e-4)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4])
+def test_abscissa_rejects_a_tolerance_not_above_zero(tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        busy_cramer_abscissa(MM1, tol=tol)
+
+
 ABSCISSA_CASES = [
     *(pytest.param(QueueModel(lam, Exponential(1.0)),
                    mm1_busy_abscissa_closed_form(lam, 1.0), id=f"mm1-{lam}")

@@ -269,6 +269,13 @@ def test_parse_errors():
             parse_service_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["exp:rate", "uniform:lo=0,1",
+                                  "erlang:shape=2,,rate=1"])
+def test_parse_rejects_a_field_with_no_equals_sign(spec):
+    with pytest.raises(DistributionSpecError, match="bad field"):
+        parse_service_spec(spec)
+
+
 @given(rate=st.floats(0.05, 50.0))
 def test_exponential_lst_identity(rate):
     d = Exponential(rate)

@@ -146,6 +146,12 @@ def test_phi_exact_at_zero():
     assert phi_exact(MM1, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, -0.5, math.inf])
+def test_phi_exact_rejects_a_bad_time(t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        phi_exact(MM1, t)
+
+
 def test_phi_curve_at_zero_on_the_analytic_grid():
     # t = 0 shares the series' first batch with the smallest positive times;
     # its row (1, 0, 0, ...) gives phi = 0 and P_0 = 1 exactly

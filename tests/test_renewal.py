@@ -16,7 +16,7 @@ from transient_queue import (Curve, Erlang, Exponential, McConfig,
                              phi_via_renewal, read_curve_csv,
                              renewal_function, renewal_residual,
                              write_curve_csv)
-from transient_queue.renewal import COARSE_GRID_WARNING
+from transient_queue.renewal import COARSE_GRID_WARNING, atomic_write
 
 from oracles import (erlang2_renewal, phi_by_midpoint_sums, poisson_renewal,
                      renewal_by_recursion)
@@ -115,6 +115,8 @@ def test_renewal_function_validates_cdf():
     bad[5] = np.nan  # passes every comparison, and H would be NaN
     with pytest.raises(ValueError, match="finite"):
         renewal_function(Curve(grid, bad))
+    with pytest.raises(ValueError, match="must not exceed 1"):
+        renewal_function(Curve(grid, np.linspace(0.0, 1.5, grid.n_points)))
 
 
 @functools.cache
@@ -146,14 +148,16 @@ def solve_and_recursion(law, n):
     return renewal_function(Curve(grid, F)).values, renewal_by_recursion(F)
 
 
-# edges of the solve: of its m = n - 1 unknowns, the residual b - a q sums
-# every lag directly up to m = 256 (n = 257), and 1 / a and v b's first
-# terms run wholly direct over their ceil(m / 2) terms up to m = 512
-# (n = 513); each FFT size is a power of two, so n = 2^j + 1 fills one
-# exactly and one more point needs the next
+# edges of the solve: each of its steps on m = n - 1 terms, and on the
+# ceil(m / 2), ceil(m / 4), ... terms of 1 / a below it, sums every product
+# directly up to 256 terms (n = 257) and runs FFTs at the power of two >= m
+# above, so n = 2^j + 1 fills one size exactly and one more point needs the
+# next; at lengths like 3001 and 5001 the halvings fall between powers of
+# two
 @pytest.mark.parametrize("law", sorted(CDFS))
 @pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 255, 256, 257, 258, 512,
-                               513, 514, 1025, 2049, 4097, 4098, 8001])
+                               513, 514, 1025, 2049, 3001, 4097, 4098, 5001,
+                               8001])
 def test_renewal_function_matches_pointwise_recursion(law, n):
     H, expected = solve_and_recursion(law, n)
     assert np.all(np.abs(H - expected) <= 1e-13 * np.abs(expected))
@@ -166,6 +170,19 @@ def test_renewal_function_matches_pointwise_recursion(law, n):
 def test_renewal_function_within_long_double_recursion(law, n):
     H, expected = solve_and_recursion(law, n)
     assert np.all(np.abs(H - expected) <= 3e-14 * expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 129, 256, 257])
+def test_renewal_function_on_small_grids_runs_no_fft(n, monkeypatch):
+    # up to 256 unknowns every product is summed directly
+    def fft(*args, **kwargs):
+        raise AssertionError("an FFT ran")
+
+    grid = TimeGrid(step=0.01, n_points=n)
+    F = Curve(grid, Erlang(2, 1.0).cdf(grid.times()))
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, fft)
+    renewal_function(F)
 
 
 @pytest.mark.parametrize("law", sorted(CDFS))
@@ -191,6 +208,17 @@ def test_renewal_residual_at_65537_points(law):
     F = Curve(grid, CDFS[law](grid.times()))
     H = renewal_function(F)
     assert np.abs(renewal_residual(H, F)).max() <= 1e-14 * H.values[-1]
+
+
+def test_renewal_residual_rejects_another_grid():
+    grid = TimeGrid(step=0.01, n_points=501)
+    F = Curve(grid, Erlang(2, 1.0).cdf(grid.times()))
+    H = renewal_function(F)
+    for other in (TimeGrid(step=0.02, n_points=501),
+                  TimeGrid(step=0.01, n_points=401)):
+        G = Curve(other, Erlang(2, 1.0).cdf(other.times()))
+        with pytest.raises(ValueError, match="must share one grid"):
+            renewal_residual(H, G)
 
 
 def test_renewal_function_leaves_no_reference_cycle():
@@ -355,6 +383,33 @@ def test_phi_via_renewal_rejects_negative_q(erlang_case):
         phi_via_renewal(Curve(H.grid, values), H)
 
 
+# a stderr of -inf is already refused by Curve, as negative
+@pytest.mark.parametrize("where, bad", [
+    (where, bad) for where in ("q", "stderr", "H")
+    for bad in (np.nan, np.inf, -np.inf)
+    if (where, bad) != ("stderr", -np.inf)])
+def test_phi_via_renewal_rejects_non_finite_input(where, bad):
+    # a bad value only for t > 2 would reach every point through the FFT,
+    # t = 0.1 included
+    grid = make_grid(0.1, 5.0)
+    t = grid.times()
+    q = np.exp(-t)
+    stderr = np.full(grid.n_points, 0.01)
+    H = 1.0 + t
+    {"q": q, "stderr": stderr, "H": H}[where][t > 2.0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        phi_via_renewal(Curve(grid, q, stderr=stderr), Curve(grid, H))
+
+
+def test_phi_via_renewal_rejects_a_decreasing_h(erlang_case):
+    _, H = erlang_case
+    values = H.values.copy()
+    values[7] = values[6] - 1e-3
+    q = Curve(H.grid, np.ones(H.grid.n_points))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        phi_via_renewal(q, Curve(H.grid, values))
+
+
 def test_curve_csv_round_trip(tmp_path):
     grid = make_grid(0.25, 2.0)
     rng = np.random.default_rng(8)
@@ -453,6 +508,26 @@ def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     assert list(tmp_path.glob(".tq-*.tmp")) == []
 
 
+def test_atomic_write_retries_a_taken_temp_name(tmp_path, monkeypatch):
+    names = iter([b"\x00" * 8, b"\x00" * 8, b"\x01" * 8])
+    monkeypatch.setattr(os, "urandom", lambda k: next(names))
+    taken = tmp_path / f".tq-{'00' * 8}.tmp"
+    taken.write_text("someone else's")
+    path = tmp_path / "out.txt"
+    atomic_write(path, "text")
+    assert path.read_text() == "text"
+    assert taken.read_text() == "someone else's"
+
+
+def test_atomic_write_gives_up_when_every_temp_name_is_taken(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda k: b"\x00" * k)
+    (tmp_path / f".tq-{'00' * 8}.tmp").write_text("")
+    with pytest.raises(FileExistsError, match="no free temp file name"):
+        atomic_write(tmp_path / "out.txt", "text")
+    assert not (tmp_path / "out.txt").exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(step=st.floats(0.0, 1e300, exclude_min=True),
        cells=st.integers(2, 30).flatmap(lambda n: st.tuples(
@@ -531,3 +606,5 @@ def test_curve_validation():
         Curve(grid, np.zeros(3))
     with pytest.raises(ValueError):
         Curve(grid, np.zeros(grid.n_points), stderr=-np.ones(grid.n_points))
+    with pytest.raises(ValueError, match="stderr length"):
+        Curve(grid, np.zeros(grid.n_points), stderr=np.zeros(3))

@@ -543,6 +543,18 @@ def test_cycle_blocks_carry_the_open_cycle():
         assert np.all(row[~inside] == 0.0)
 
 
+def test_simulate_cycle_event_cap(monkeypatch):
+    class Short:
+        """Every gap 0.01, so no arrival finds the server idle."""
+
+        def exponential(self, scale):
+            return 0.01
+
+    monkeypatch.setattr(simulate, "_EVENT_CAP", 5)
+    with pytest.raises(CycleTruncationError, match="exceeded 5 events"):
+        simulate_cycle(MD1, Short())
+
+
 def test_cycles_event_cap(monkeypatch):
     monkeypatch.setattr(simulate, "_EVENT_CAP", 5)
     rng = Replay(np.full(20, 0.01), np.ones(20))
