@@ -114,16 +114,20 @@ def atomic_write(path, text: str) -> None:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         mode = None
-    fd, tmp = _new_temp(directory)
+    tmp = None
     try:
+        fd, tmp = _new_temp(directory)
         with os.fdopen(fd, "w", newline="") as fh:
             if mode is not None:
                 os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        # name the user's path, not the temp file the write went through
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -142,29 +146,21 @@ def _csv_text(header: str, columns) -> str:
     about _CELL_BLOCK cells at a time (`_csv_cells`)."""
     ncol = len(columns)
     rows = max(1, _CELL_BLOCK // ncol)
-    src = np.empty((rows * ncol, _SRC_WIDTH), np.uint8)
-    src[:, _POINT] = ord(".")
-    src[:, _ZERO] = ord("0")
-    src[:, _MINUS] = ord("-")
-    src[:, _SEP] = ord(",")
-    src[ncol - 1::ncol, _SEP] = ord("\n")
+    seps = _words([b"\0" * 7 + b","] * (ncol - 1) + [b"\0" * 7 + b"\n"])
     pieces = [header + "\n"]
     for start in range(0, len(columns[0]), rows):
         cells = np.column_stack([c[start:start + rows] for c in columns])
-        pieces += _csv_cells(cells.astype(np.float64, copy=False).ravel(),
-                             src)
+        pieces.append(_csv_cells(cells.astype(np.float64, copy=False), seps))
     return "".join(pieces)
 
 
-# A cell's text is laid out from its row of _SRC_WIDTH source bytes: the
-# 17 digits from _DIGIT on, the literals, the exponent's 8 bytes and the
-# separator.  A layout picks the cell's _CELL_WIDTH output bytes from the
-# row; a keep mask drops the unused ones, a positive cell's sign and the
-# trailing zeros (with a bare point) that "%g" drops.
-_CELL_BLOCK = 1024
-_DIGIT, _POINT, _ZERO, _MINUS, _EXP, _SEP = 3, 20, 21, 22, 23, 31
-_SRC_WIDTH = 32
-_CELL_WIDTH = 25  # "-d.dddddddddddddddde-ddd" and the separator
+# A cell's text is a row of four 8-byte words holding NUL-padded fields,
+# and one compress drops the NULs: the sign and the lead ("0." and the
+# zeros "%g" puts before a small number's digits) in the first word, the
+# 18-byte digit field from byte 8 (the digits before the point, the
+# point's free column, the digits after it), and the exponent ("e+05",
+# "e-99") from byte 26, the separator in the last byte.
+_CELL_BLOCK = 2048
 # |x| in [_FAST_MIN, _FAST_MAX) takes the vector path; the scale table
 # covers every decimal exponent such an x can have, after the carry
 _E_MIN, _E_MAX = -100, 100
@@ -200,64 +196,23 @@ def _scale_table() -> np.ndarray:
     return np.column_stack([t, *_split(t), tail])
 
 
-def _layout_tables():
-    """The layout table, one row per layout type, and the keep table.  The
-    type is E + 4 for the fixed notation "%g" uses at -4 <= E < 17, then
-    exponent notation with two and with three exponent digits.  The keep
-    table's row is ((negative * types) + type) * 17 + trailing zeros, and
-    its last row keeps nothing (a cell left to "%.17g")."""
-    digits = list(range(_DIGIT, _DIGIT + 17))
-    layouts, whole = [], []  # source columns; digits before the point
-    for e in range(-4, 17):
-        if e >= 0:
-            layouts.append([_MINUS] + digits[:e + 1] + [_POINT]
-                           + digits[e + 1:])
-        else:
-            layouts.append([_MINUS, _ZERO, _POINT] + [_ZERO] * (-e - 1)
-                           + digits)
-        whole.append(max(e + 1, 0))
-    for exp in ([0, 1, 3, 4], [0, 1, 2, 3, 4]):  # "e", sign, [hundreds,] ..
-        layouts.append([_MINUS, digits[0], _POINT] + digits[1:]
-                       + [_EXP + i for i in exp])
-        whole.append(1)
-    types = len(layouts)
-    layout = np.full((types, _CELL_WIDTH), _SEP, np.intp)
-    used = np.zeros((types, _CELL_WIDTH), bool)
-    used[:, -1] = True
-    for i, cols in enumerate(layouts):
-        layout[i, :len(cols)] = cols
-        used[i, :len(cols)] = True
-    # digit j stays if it is before the point or before the trailing
-    # zeros; the point stays if a digit follows it
-    j = np.where((layout >= _DIGIT) & (layout < _DIGIT + 17),
-                 layout - _DIGIT, -1)[:, None, :]
-    whole = np.array(whole)[:, None, None]
-    left = 17 - np.arange(17)[None, :, None]  # digits before the zeros
-    keep = used[:, None, :] & (j < np.maximum(whole, left)) & (
-        (layout != _POINT)[:, None, :] | (left > whole))
-    unsigned = keep.copy()
-    unsigned[..., 0] = False
-    return layout, np.concatenate([unsigned.reshape(-1, _CELL_WIDTH),
-                                   keep.reshape(-1, _CELL_WIDTH),
-                                   np.zeros((1, _CELL_WIDTH), bool)])
-
-
-def _exponent_tables():
-    """Per decimal exponent: the layout type and the exponent's bytes
-    ("e+05", "e-100") as one 8-byte word."""
-    e = np.arange(_E_MIN, _E_MAX + 1)
-    kind = np.where((e >= -4) & (e < 17), e + 4,
-                    np.where(np.abs(e) < 100, 21, 22)).astype(np.uint8)
-    text = b"".join(b"e%+04d\0\0\0" % k for k in e.tolist())
-    return kind, np.frombuffer(text, np.uint64)
+def _words(texts) -> np.ndarray:
+    """Each text NUL-padded to an 8-byte word."""
+    return np.array(texts, "S8").view(np.uint64)
 
 
 _SCALE = _scale_table()
-_LAYOUT, _KEEP = _layout_tables()
-_KEEP_LEN = _KEEP.sum(axis=1)
-_DROP = len(_KEEP) - 1
-_TYPES = len(_LAYOUT)
-_KIND, _EXP_TEXT = _exponent_tables()
+# per decimal exponent E: the digits "%g" puts before the point (E + 1 in
+# its fixed notation at -4 <= E < 17, none after a lead, one in exponent
+# notation), the sign-and-lead word and the exponent word
+_WHOLE = np.array([max(e + 1, 0) if -4 <= e < 17 else 1
+                   for e in range(_E_MIN, _E_MAX + 1)])
+_LEADS = _words([b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                 for e in range(_E_MIN, _E_MAX + 1)])
+_EXPS = _words([b"" if -4 <= e < 17 else b"\0\0e%+03d" % e
+                for e in range(_E_MIN, _E_MAX + 1)])
+_MINUS = _words([b"-"])
+_FIRST = np.tri(18, 17, -1, np.uint8) * 255  # row k keeps the first k bytes
 _QUADS = np.ascontiguousarray(  # "0000" .. "9999" as 4-byte words
     np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
 ).view(np.uint32).ravel()
@@ -310,34 +265,36 @@ def _digit_text(big: np.ndarray) -> np.ndarray:
     return _QUADS[groups].view(np.uint8)
 
 
-def _csv_cells(x: np.ndarray, src: np.ndarray) -> list:
-    """Pieces of the text of the cells ``x``, whole rows, each followed by
-    its separator in ``src``: laid out by table from `_decimal`'s digits
-    and exponents, but for the cells it cannot certify, which are
-    formatted one by one."""
-    n = len(x)
+def _csv_cells(cells: np.ndarray, seps: np.ndarray) -> str:
+    """The text of the rows ``cells``, each cell followed by its column's
+    separator in ``seps``: `_decimal`'s digits and exponents placed in
+    NUL-padded fields, but for the cells it cannot certify, whose rows
+    "%.17g" writes."""
+    x = cells.ravel()
     big, e, ok = _decimal(x)
-    rows = src[:n]
-    rows[:, :_POINT] = _digit_text(big)
-    rows[:, _EXP:_SEP] = _EXP_TEXT[e - _E_MIN, None].view(np.uint8)
-    kind = _KIND[e - _E_MIN]
-    zeros = np.argmax(rows[:, _POINT - 1:_DIGIT - 1:-1] != ord("0"), axis=1)
-    key = ((x < 0) * _TYPES + kind) * 17 + zeros
-    key[~ok] = _DROP
-    index = _LAYOUT[kind]
-    index += np.arange(0, n * _SRC_WIDTH, _SRC_WIDTH)[:, None]
-    text = np.compress(_KEEP[key].ravel(), np.take(src, index).ravel())
+    e -= _E_MIN
+    words = np.empty(cells.shape + (4,), np.uint64)
+    words[..., 0] = (_LEADS[e] | _MINUS * (x < 0)).reshape(cells.shape)
+    words[..., 3] = _EXPS[e].reshape(cells.shape) | seps
+    out = words.view(np.uint8).reshape(-1, 32)
+    # digit j goes to column j before the point and to j + 1 after it;
+    # "%g" drops trailing zeros after the point only.  The field's last
+    # column is the exponent word's NUL second byte.
+    digits = _digit_text(big)[:, 3:]
+    whole = _WHOLE[e]
+    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    kept = np.maximum(17 - zeros, whole)
+    before = np.take(_FIRST, whole, axis=0)
+    field = out[:, 8:26]
+    np.bitwise_and(digits, before, out=field[:, :17])
+    field[:, 1:] |= digits & (np.take(_FIRST, kept, axis=0) ^ before)
+    point = np.flatnonzero((kept > whole) & (whole > 0))
+    field[point, whole[point]] = ord(".")
     bad = np.flatnonzero(~ok)
-    if not bad.size:
-        return [text.tobytes().decode("ascii")]
-    ends = np.cumsum(_KEEP_LEN[key])
-    pieces, start = [], 0
-    for i in bad.tolist():
-        pieces.append(text[start:ends[i]].tobytes().decode("ascii"))
-        pieces.append("%.17g%c" % (x[i], rows[i, _SEP]))
-        start = ends[i]
-    pieces.append(text[start:].tobytes().decode("ascii"))
-    return pieces
+    if bad.size:  # the separator stays in the last byte
+        text = ["%.17g" % v for v in x[bad].tolist()]
+        out[bad, :31] = np.array(text, "S31").view(np.uint8).reshape(-1, 31)
+    return out[out != 0].tobytes().decode("ascii")
 
 
 def read_curve_csv(path) -> Curve:

@@ -97,6 +97,19 @@ def test_load_within_rounding_of_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "directory"])
+def test_unwritable_output_exits_1_naming_the_path(tmp_path, capsys, target):
+    # the write goes through a temp file; the error must name -o's path
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    assert main(["mm1-exact", "--lambda", "0.5", "--mu", "1", "--t-max", "1",
+                 "--step", "0.5", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(str(out)) in err
+    assert ".tq-" not in err
+    assert list(tmp_path.rglob(".tq-*")) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "renewal", "compare"])
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     out = tmp_path / "x.out"

@@ -68,6 +68,35 @@ def test_csv_text_matches_oracle_on_exact_decimal_ties():
     assert_same_text([ties, np.negative(ties)])
 
 
+def test_csv_text_matches_oracle_at_every_layout_boundary():
+    # for each decimal exponent E where "%g" changes layout and each count
+    # k of significant digits, a double whose "%.17g" has just those; no
+    # double has one digit at some E (all nine tried), every other (E, k)
+    # is found
+    rng = np.random.default_rng(32)
+    exponents = list(range(-6, 19)) + [s * m for m in range(98, 102)
+                                       for s in (1, -1)]
+    cells, missing = [], []
+    for e in exponents:
+        for k in range(1, 18):
+            for attempt in range(200):
+                lead = attempt + 1 if attempt < 9 else rng.integers(1, 10)
+                rest = "".join(map(str, rng.integers(0, 10, max(k - 2, 0))))
+                last = str(rng.integers(1, 10)) if k > 1 else ""
+                x = float(f"{lead}{rest}{last}e{e - k + 1}")
+                text = "%.16e" % x
+                if (int(text[19:]) == e
+                        and len((text[0] + text[2:18]).rstrip("0")) == k):
+                    cells.append(x)
+                    break
+            else:
+                missing.append((e, k))
+    assert all(k == 1 for _, k in missing) and len(missing) < 5
+    # integers keep their trailing zeros
+    cells += [1200.0, 1e16, 12345678901234560.0, 100.0, 1e15]
+    assert_same_text([cells, np.negative(cells)])
+
+
 @pytest.mark.parametrize("ncol", [1, 2, 3, 5])
 def test_csv_text_matches_oracle_where_blocks_end(ncol):
     per_block = _CELL_BLOCK // ncol  # rows
